@@ -6,7 +6,9 @@
 
 #include "core/plan_io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -59,6 +61,28 @@ bool parseU64(std::string_view Token, uint64_t &Out) {
 Error lineError(size_t LineNo, const std::string &Message) {
   return Error{"line " + std::to_string(LineNo) + ": " + Message,
                std::string::npos};
+}
+
+/// The evaluators and the JIT read every fixed-length step as one
+/// unguarded 8-byte load at its offset, and a partial-load plan's single
+/// step as the key's first min(MaxKeyLen, 8) bytes. A plan whose loads
+/// end past the key would read out of bounds on every in-format key, so
+/// a plan file is held to the bounds the synthesizer produces. Returns
+/// the reason a load is out of bounds, or "" when every load fits.
+std::string loadBoundsError(const HashPlan &Plan) {
+  if (Plan.FallbackToStl || (!Plan.FixedLength && !Plan.PartialLoad))
+    return "";
+  if (Plan.PartialLoad && !Plan.FixedLength)
+    return "partial-load plan must be fixed-length";
+  const uint64_t Width =
+      Plan.PartialLoad ? std::min<uint64_t>(Plan.MaxKeyLen, 8) : 8;
+  const uint64_t KeyLen = Plan.PartialLoad ? Plan.MaxKeyLen : Plan.MinKeyLen;
+  for (const PlanStep &S : Plan.Steps)
+    if (S.Offset + Width > KeyLen)
+      return std::to_string(Width) + "-byte load at offset " +
+             std::to_string(S.Offset) + " ends past the " +
+             std::to_string(KeyLen) + "-byte key";
+  return "";
 }
 
 } // namespace
@@ -147,8 +171,9 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     } else if (Key == "len") {
       uint64_t Min = 0, Max = 0;
       if (Tokens.size() != 3 || !parseU64(Tokens[1], Min) ||
-          !parseU64(Tokens[2], Max) || Min > Max)
-        return lineError(LineNo, "len requires 'min max' with min <= max");
+          !parseU64(Tokens[2], Max) || Min > Max || Max > UINT32_MAX)
+        return lineError(LineNo, "len requires 'min max' with min <= max "
+                                 "< 2^32");
       Plan.MinKeyLen = static_cast<uint32_t>(Min);
       Plan.MaxKeyLen = static_cast<uint32_t>(Max);
       SawLen = true;
@@ -177,6 +202,8 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
           !parseU64(Tokens[2], Mask) || !parseU64(Tokens[3], Shift) ||
           Shift >= 64)
         return lineError(LineNo, "step requires 'offset mask shift<64'");
+      if (Offset > UINT32_MAX)
+        return lineError(LineNo, "step offset does not fit 32 bits");
       Plan.Steps.push_back(PlanStep{static_cast<uint32_t>(Offset), Mask,
                                     static_cast<uint8_t>(Shift)});
     } else if (Key == "skip") {
@@ -213,5 +240,7 @@ Expected<HashPlan> sepe::deserializePlan(std::string_view Text) {
     return Error{"skip table and mask count disagree"};
   if (!Plan.FallbackToStl && Plan.FixedLength && Plan.Steps.empty())
     return Error{"fixed-length plan without steps"};
+  if (std::string Bad = loadBoundsError(Plan); !Bad.empty())
+    return Error{Bad};
   return Plan;
 }

@@ -41,8 +41,14 @@
 ///
 /// Sealed shards can go one step further: sealStatic() snapshots the
 /// present subset of a key list into a synthesized minimal perfect
-/// hash (mphf/mphf.h) and serves those keys as values[mphf(key)] —
-/// one fingerprint check plus one key compare, no probing, no locks.
+/// hash (mphf/mphf.h) over slot-ordered storage — one record per MPHF
+/// slot (8-bit fingerprint, key length, arena offset, value) and one
+/// key arena written in slot order. A lookup is the MPHF's bucket load
+/// followed by the slot's record and key bytes; when every sealed key
+/// has one length the key's address is slot * length, so those two
+/// loads overlap instead of running one after the other. No probing, no
+/// locks; getBatch() stages the loads of a whole block so the misses of
+/// different keys overlap too.
 /// The static lane is a pure cache in front of the dynamic lanes:
 /// out-of-set keys fall through (the key compare keeps the table
 /// exact even on a fingerprint false positive), puts of new keys
@@ -65,6 +71,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -125,54 +132,66 @@ public:
   bool staticLaneActive() const { return staticLane() != nullptr; }
 
   /// Seals the *present* subset of \p Keys (distinct) into a static
-  /// MPHF-backed lane probed before every dynamic lane: one array load
-  /// gated by a fingerprint check and an exact key compare. The
-  /// extraction front-end reuses the adaptive hash's current bijective
-  /// plan when one exists, so the MPHF distinguishes exactly the
-  /// format's varying bits. Returns the number of keys sealed; 0 when
-  /// none were present or MPHF construction failed (the table keeps
-  /// serving from the dynamic lanes either way). Concurrent gets/puts
-  /// are safe during the call; concurrent erases of the keys being
-  /// sealed are not — seal quiescent shards.
+  /// MPHF-backed lane probed before every dynamic lane: the bucket load,
+  /// then the slot's record (fingerprint check) and key bytes (exact
+  /// compare). The extraction front-end reuses the adaptive hash's
+  /// current bijective plan when one exists, so the MPHF distinguishes
+  /// exactly the format's varying bits. Returns the number of keys
+  /// sealed; 0 when none were present, the keys do not fit the lane's
+  /// records (a key past 65535 bytes, or 4 GiB of keys in all) or MPHF
+  /// construction failed — the table keeps serving from the dynamic
+  /// lanes either way. Concurrent
+  /// gets/puts are safe during the call; concurrent erases of the keys
+  /// being sealed are not — seal quiescent shards.
   size_t sealStatic(const std::string_view *Keys, size_t N) {
     std::lock_guard<std::mutex> Lock(MaintainMutex);
-    std::vector<std::string> SealedKeys;
+    // Views into the caller's list: the arena makes the only copy.
+    std::vector<std::string_view> SealedKeys;
     std::vector<Value> SealedValues;
     SealedKeys.reserve(N);
     SealedValues.reserve(N);
-    for (size_t I = 0; I != N; ++I) {
-      Value V;
-      if (getDynamic(Keys[I], V)) {
-        SealedKeys.emplace_back(Keys[I]);
-        SealedValues.push_back(std::move(V));
-      }
+    Value Got[RouteBlock];
+    uint8_t Found[RouteBlock];
+    for (size_t Base = 0; Base < N; Base += RouteBlock) {
+      const size_t Count = std::min(RouteBlock, N - Base);
+      getBatchDynamic(Keys + Base, Got, Found, Count);
+      for (size_t I = 0; I != Count; ++I)
+        if (Found[I]) {
+          SealedKeys.push_back(Keys[Base + I]);
+          SealedValues.push_back(std::move(Got[I]));
+        }
     }
     if (SealedKeys.empty())
       return 0;
+    size_t MinLen = SIZE_MAX, MaxLen = 0;
+    uint64_t Bytes = 0;
+    for (std::string_view K : SealedKeys) {
+      MinLen = std::min(MinLen, K.size());
+      MaxLen = std::max(MaxLen, K.size());
+      Bytes += K.size();
+    }
+    if (MaxLen > StaticLane::MaxKeyLen ||
+        Bytes > StaticLane::MaxArenaBytes) {
+      SEPE_COUNT("serving_table.static.seal_failed");
+      return 0;
+    }
+    // The plan's loads assume its own key lengths: it images the lane
+    // only when every sealed key (and so every key a lookup lets reach
+    // the MPHF, see StaticLane::mayHold) has one of them.
     MphfBuildOptions Options;
     const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
-    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective)
+    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective &&
+        MinLen >= Snap.Fast.plan().MinKeyLen &&
+        MaxLen <= Snap.Fast.plan().MaxKeyLen)
       Options.Extract = std::make_shared<const HashPlan>(Snap.Fast.plan());
-    std::vector<std::string_view> Views(SealedKeys.begin(),
-                                        SealedKeys.end());
-    Expected<Mphf> F = buildMphf(Views, Options);
+    Expected<Mphf> F = buildMphf(SealedKeys, Options);
     if (!F) {
       SEPE_COUNT("serving_table.static.seal_failed");
       return 0;
     }
-    auto Lane = std::make_unique<StaticLane>();
-    Lane->F = F.take();
     const size_t Count = SealedKeys.size();
-    Lane->Fp.assign(Count, 0);
-    Lane->Keys.resize(Count);
-    Lane->Values.resize(Count);
-    for (size_t I = 0; I != Count; ++I) {
-      const Mphf::SlotFp SF =
-          Lane->F.slotFpFromBase(Lane->F.baseImage(SealedKeys[I]));
-      Lane->Fp[SF.Slot] = static_cast<uint8_t>(SF.FpWord);
-      Lane->Keys[SF.Slot] = std::move(SealedKeys[I]);
-      Lane->Values[SF.Slot] = std::move(SealedValues[I]);
-    }
+    auto Lane =
+        std::make_unique<StaticLane>(F.take(), SealedKeys, SealedValues);
     StaticPtr.store(Lane.get(), std::memory_order_release);
     StaticStorage.push_back(std::move(Lane));
     SEPE_COUNT("serving_table.static.sealed");
@@ -194,9 +213,12 @@ public:
 
   /// Copies the value for \p Key into \p Out; false when absent.
   bool get(std::string_view Key, Value &Out) const {
-    if (const StaticLane *S = staticLane(); S && S->find(Key, Out)) {
-      SEPE_COUNT("serving_table.static.hit");
-      return true;
+    if (const StaticLane *S = staticLane()) {
+      if (const auto *R = S->lookup(Key)) {
+        SEPE_COUNT("serving_table.static.hit");
+        Out = R->V;
+        return true;
+      }
     }
     return getDynamic(Key, Out);
   }
@@ -282,7 +304,7 @@ public:
     // before returning, so a get() ordered after this erase cannot be
     // served the sealed copy. Storage is retired, not freed.
     if (Erased) {
-      if (const StaticLane *S = staticLane(); S && S->contains(Key)) {
+      if (const StaticLane *S = staticLane(); S && S->lookup(Key)) {
         StaticPtr.store(nullptr, std::memory_order_release);
         SEPE_COUNT("serving_table.static.invalidated");
       }
@@ -291,107 +313,79 @@ public:
   }
 
   /// Batch lookup: Found[I] = 1 and Out[I] = value when present.
-  /// Returns the hit count. Admitted keys run the dense
-  /// hash -> partition -> per-shard probe pipeline; guard misses and
-  /// fast-lane misses fall through to the spill lane per key.
+  /// Returns the hit count. A sealed table serves each block through
+  /// the static lane's staged pipeline first; what it does not serve
+  /// (out-of-set keys, unsealed inserts) and every key of an unsealed
+  /// table take the dynamic batch path (getBatchDynamic).
   size_t getBatch(const std::string_view *Keys, Value *Out, uint8_t *Found,
                   size_t N) const {
-    // Sealed tables serve most traffic from the static lane: batch the
-    // base images through the MPHF's fused kernels and let only the
-    // residue (out-of-set keys, unsealed inserts) take the dynamic
-    // path per key.
-    if (const StaticLane *S = staticLane()) {
-      uint64_t Bases[RouteBlock];
-      size_t Hits = 0;
-      for (size_t Base = 0; Base < N; Base += RouteBlock) {
-        const size_t Count = std::min(RouteBlock, N - Base);
-        S->F.baseBatch(Keys + Base, Bases, Count);
-        for (size_t I = 0; I != Count; ++I) {
-          const size_t K = Base + I;
-          if (S->findFromBase(Bases[I], Keys[K], Out[K])) {
-            SEPE_COUNT("serving_table.static.hit");
-            Found[K] = 1;
-            ++Hits;
-          } else if (getDynamic(Keys[K], Out[K])) {
-            Found[K] = 1;
-            ++Hits;
-          } else {
-            Found[K] = 0;
-          }
-        }
-      }
-      return Hits;
-    }
-    const ShardedIndexMap<Value> *F = fast();
+    const StaticLane *S = staticLane();
+    if (!S)
+      return getBatchDynamic(Keys, Out, Found, N);
+    // Staged per block, so each pass's loads are independent across
+    // keys and their misses overlap: keys of no sealed length go
+    // straight to the residue; base images through the MPHF's fused
+    // kernels; bucket prefetches; slots and fingerprints, with the
+    // record (and, for a uniform-length lane, the key bytes)
+    // prefetched; for a mixed-length lane the key bytes of fingerprint
+    // matches; then the compares.
+    std::string_view InKeys[RouteBlock];
+    uint16_t InIdx[RouteBlock];
+    uint64_t Bases[RouteBlock];
+    uint32_t Slots[RouteBlock];
+    uint8_t Fps[RouteBlock];
+    std::string_view ResKeys[RouteBlock];
+    uint16_t ResIdx[RouteBlock];
+    Value ResOut[RouteBlock];
+    uint8_t ResFound[RouteBlock];
     size_t Hits = 0;
-    uint64_t Hashes[RouteBlock];
-    uint32_t MissIdx[RouteBlock];
-    uint16_t AdmIdx[RouteBlock];
-    uint64_t AdmImages[RouteBlock];
-    Value AdmOut[RouteBlock];
-    uint8_t AdmFound[RouteBlock];
     for (size_t Base = 0; Base < N; Base += RouteBlock) {
       const size_t Count = std::min(RouteBlock, N - Base);
-      uint64_t Epoch = 0;
-      const size_t Misses =
-          Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
-      for (size_t I = 0; I != Count; ++I)
-        Found[Base + I] = 2; // Sentinel: undecided.
-      for (size_t I = 0; I != Misses; ++I)
-        Found[Base + MissIdx[I]] = 0;
-      size_t Admitted = 0;
-      for (size_t I = 0; I != Count; ++I)
-        if (Found[Base + I] == 2) {
-          AdmIdx[Admitted] = static_cast<uint16_t>(I);
-          AdmImages[Admitted] = Hashes[I];
-          ++Admitted;
-        }
-      size_t FastHits = 0;
-      if (F && Admitted != 0 &&
-          F->getBatchHashed(AdmImages, Epoch, AdmOut, AdmFound, Admitted,
-                            FastHits)) {
-        for (size_t I = 0; I != Admitted; ++I) {
-          const size_t K = Base + AdmIdx[I];
-          if (AdmFound[I]) {
-            Out[K] = AdmOut[I];
-            Found[K] = 1;
-          } else {
-            Found[K] = 0;
-          }
-        }
-      } else if (F && Admitted != 0) {
-        // Stale epoch (migration window): guarded per-key redo.
-        for (size_t I = 0; I != Admitted; ++I) {
-          const size_t K = Base + AdmIdx[I];
-          Found[K] =
-              F->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit ? 1 : 0;
-        }
-      } else {
-        for (size_t I = 0; I != Admitted; ++I)
-          Found[Base + AdmIdx[I]] = 0;
-      }
-      // Spill lane + sweep-race retry for everything still unresolved
-      // (reload the lane pointer: see get() on why the retry must not
-      // depend on the admission verdict or the lane snapshot).
+      size_t In = 0, Residue = 0;
       for (size_t I = 0; I != Count; ++I) {
-        const size_t K = Base + I;
-        if (Found[K] == 1) {
-          ++Hits;
-          continue;
+        const std::string_view Key = Keys[Base + I];
+        if (S->mayHold(Key)) {
+          InIdx[In] = static_cast<uint16_t>(I);
+          InKeys[In++] = Key;
+        } else {
+          ResIdx[Residue] = static_cast<uint16_t>(I);
+          ResKeys[Residue++] = Key;
         }
-        if (spillFind(Keys[K], Out[K])) {
+      }
+      S->F.baseBatch(InKeys, Bases, In);
+      for (size_t J = 0; J != In; ++J)
+        S->F.prefetchSlot(Bases[J]);
+      for (size_t J = 0; J != In; ++J) {
+        const Mphf::SlotFp SF = S->F.slotFpFromBase(Bases[J]);
+        Slots[J] = static_cast<uint32_t>(SF.Slot);
+        Fps[J] = static_cast<uint8_t>(SF.FpWord);
+        S->prefetchRecord(Slots[J]);
+      }
+      if (!S->Uniform)
+        for (size_t J = 0; J != In; ++J)
+          S->prefetchKeyIfFp(Slots[J], Fps[J]);
+      size_t StaticHits = 0;
+      for (size_t J = 0; J != In; ++J) {
+        const size_t K = Base + InIdx[J];
+        if (const auto *R = S->match(Slots[J], Fps[J], InKeys[J])) {
+          Out[K] = R->V;
           Found[K] = 1;
-          ++Hits;
-          continue;
+          ++StaticHits;
+        } else {
+          ResIdx[Residue] = InIdx[J];
+          ResKeys[Residue++] = InKeys[J];
         }
-        // Loaded after the spill miss so a lane created mid-call is
-        // still seen.
-        const ShardedIndexMap<Value> *F2 = fast();
-        if (F2 && F2->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit) {
-          SEPE_COUNT("serving_table.get.retry_hit");
-          Found[K] = 1;
-          ++Hits;
-        }
+      }
+      SEPE_COUNT_N("serving_table.static.hit", StaticHits);
+      Hits += StaticHits;
+      if (Residue == 0)
+        continue;
+      Hits += getBatchDynamic(ResKeys, ResOut, ResFound, Residue);
+      for (size_t J = 0; J != Residue; ++J) {
+        const size_t K = Base + ResIdx[J];
+        Found[K] = ResFound[J];
+        if (ResFound[J])
+          Out[K] = std::move(ResOut[J]);
       }
     }
     return Hits;
@@ -494,7 +488,7 @@ public:
     S.FastLane = F != nullptr;
     const StaticLane *SL = staticLane();
     S.StaticActive = SL != nullptr;
-    S.StaticSize = SL ? SL->Keys.size() : 0;
+    S.StaticSize = SL ? SL->Records.size() : 0;
     S.FastSize = F ? F->size() : 0;
     S.SpillSize = SpillCount.load(std::memory_order_relaxed);
     S.FastEpoch = F ? F->epoch() : 0;
@@ -550,38 +544,205 @@ private:
         Map;
   };
 
-  /// The sealed static lane: values[mphf(key)] plus an 8-bit
-  /// fingerprint that rejects nearly every out-of-set key before the
-  /// exact key compare. The compare is what keeps the table exact — a
-  /// fingerprint false positive (~2^-8 of out-of-set probes) just
-  /// falls through to the dynamic lanes instead of serving a wrong
-  /// value, which a bare DirectIndexMap would.
+  /// The sealed static lane, slot-ordered: Records[mphf(key)] holds the
+  /// key's 8-bit fingerprint, length, arena offset and value, and the
+  /// key bytes sit in one arena written in slot order. The fingerprint
+  /// rejects nearly every out-of-set key before the exact key compare;
+  /// the compare is what keeps the table exact — a fingerprint false
+  /// positive (~2^-8 of out-of-set probes) just falls through to the
+  /// dynamic lanes instead of serving a wrong value, which a bare
+  /// DirectIndexMap would. When every key has one length (all paper
+  /// formats), slot s's key starts at s * MinLen, so its bytes can be
+  /// fetched alongside the record instead of after it.
   struct StaticLane {
+    struct Record {
+      Value V;
+      uint32_t Off; ///< The key is Arena[Off, Off + Len).
+      uint16_t Len;
+      uint8_t Fp;
+    };
+    static constexpr size_t MaxKeyLen = UINT16_MAX;
+    static constexpr uint64_t MaxArenaBytes = UINT32_MAX;
+
     Mphf F;
-    std::vector<uint8_t> Fp;
-    std::vector<std::string> Keys;
-    std::vector<Value> Values;
+    std::vector<Record> Records;
+    std::unique_ptr<char[]> Arena;
+    size_t MinLen = SIZE_MAX; ///< Shortest and longest sealed key.
+    size_t MaxLen = 0;
+    bool Uniform = false; ///< MinLen == MaxLen.
 
-    bool findFromBase(uint64_t Base, std::string_view Key,
-                      Value &Out) const {
-      const Mphf::SlotFp SF = F.slotFpFromBase(Base);
-      if (Fp[SF.Slot] != static_cast<uint8_t>(SF.FpWord) ||
-          Keys[SF.Slot] != Key)
-        return false;
-      Out = Values[SF.Slot];
-      return true;
+    /// Lays out \p Keys (the set \p Fn was built over; each at most
+    /// MaxKeyLen bytes, MaxArenaBytes in all) and their \p Values in
+    /// slot order. Every pass walks the keys in list order, so its
+    /// random accesses are independent stores and loads that overlap,
+    /// never a dependent gather from the list.
+    StaticLane(Mphf Fn, const std::vector<std::string_view> &Keys,
+               std::vector<Value> &Values)
+        : F(std::move(Fn)), Records(Keys.size()) {
+      const size_t Count = Keys.size();
+      std::vector<uint32_t> SlotOf(Count);
+      uint64_t Bases[RouteBlock];
+      for (size_t At = 0; At < Count; At += RouteBlock) {
+        const size_t Chunk = std::min(RouteBlock, Count - At);
+        F.baseBatch(Keys.data() + At, Bases, Chunk);
+        for (size_t I = 0; I != Chunk; ++I)
+          F.prefetchSlot(Bases[I]);
+        for (size_t I = 0; I != Chunk; ++I) {
+          const Mphf::SlotFp SF = F.slotFpFromBase(Bases[I]);
+          const std::string_view Key = Keys[At + I];
+          Record &R = Records[SF.Slot];
+          R.V = std::move(Values[At + I]);
+          R.Len = static_cast<uint16_t>(Key.size());
+          R.Fp = static_cast<uint8_t>(SF.FpWord);
+          SlotOf[At + I] = static_cast<uint32_t>(SF.Slot);
+          MinLen = std::min(MinLen, Key.size());
+          MaxLen = std::max(MaxLen, Key.size());
+        }
+      }
+      Uniform = MinLen == MaxLen;
+      uint32_t Off = 0;
+      for (Record &R : Records) {
+        R.Off = Off;
+        Off += R.Len;
+      }
+      Arena.reset(new char[Off]);
+      for (size_t I = 0; I != Count; ++I)
+        std::memcpy(Arena.get() + Records[SlotOf[I]].Off, Keys[I].data(),
+                    Keys[I].size());
     }
 
-    bool find(std::string_view Key, Value &Out) const {
-      return findFromBase(F.baseImage(Key), Key, Out);
+    /// The record in \p Slot when it holds exactly \p Key under
+    /// fingerprint \p Fp, else null. For a uniform lane the key's
+    /// address does not wait for the record.
+    const Record *match(uint64_t Slot, uint8_t Fp,
+                        std::string_view Key) const {
+      const Record &R = Records[Slot];
+      const char *Bytes = Arena.get() + (Uniform ? Slot * MinLen : R.Off);
+      if (R.Fp != Fp || size_t{R.Len} != Key.size() ||
+          std::memcmp(Bytes, Key.data(), Key.size()) != 0)
+        return nullptr;
+      return &R;
     }
 
-    bool contains(std::string_view Key) const {
+    /// False for a key of no sealed length: it cannot be in the lane,
+    /// and it must not reach the MPHF, whose extraction plan may load
+    /// a fixed number of bytes.
+    bool mayHold(std::string_view Key) const {
+      return Key.size() >= MinLen && Key.size() <= MaxLen;
+    }
+
+    /// The record holding \p Key, or null.
+    const Record *lookup(std::string_view Key) const {
+      if (!mayHold(Key))
+        return nullptr;
       const Mphf::SlotFp SF = F.slotFpFromBase(F.baseImage(Key));
-      return Fp[SF.Slot] == static_cast<uint8_t>(SF.FpWord) &&
-             Keys[SF.Slot] == Key;
+      return match(SF.Slot, static_cast<uint8_t>(SF.FpWord), Key);
+    }
+
+    /// Pulls slot \p Slot's record, and for a uniform lane its key
+    /// bytes, into cache.
+    void prefetchRecord(uint64_t Slot) const {
+      prefetchRead(&Records[Slot]);
+      if (Uniform)
+        prefetchKey(Arena.get() + Slot * MinLen, MinLen);
+    }
+
+    /// Mixed-length lanes: pulls slot \p Slot's key bytes into cache
+    /// when its record's fingerprint is \p Fp (the record is in cache
+    /// by then, from prefetchRecord).
+    void prefetchKeyIfFp(uint64_t Slot, uint8_t Fp) const {
+      const Record &R = Records[Slot];
+      if (R.Fp == Fp)
+        prefetchKey(Arena.get() + R.Off, R.Len);
+    }
+
+    static void prefetchKey(const char *Bytes, size_t Len) {
+      prefetchRead(Bytes);
+      if (Len > 1)
+        prefetchRead(Bytes + Len - 1);
     }
   };
+
+  /// The dynamic-lane batch path: one routeBatch per block, admitted
+  /// keys through the dense hash -> partition -> per-shard probe
+  /// pipeline, guard misses and fast-lane misses through the spill lane
+  /// per key.
+  size_t getBatchDynamic(const std::string_view *Keys, Value *Out,
+                         uint8_t *Found, size_t N) const {
+    const ShardedIndexMap<Value> *F = fast();
+    size_t Hits = 0;
+    uint64_t Hashes[RouteBlock];
+    uint32_t MissIdx[RouteBlock];
+    uint16_t AdmIdx[RouteBlock];
+    uint64_t AdmImages[RouteBlock];
+    Value AdmOut[RouteBlock];
+    uint8_t AdmFound[RouteBlock];
+    for (size_t Base = 0; Base < N; Base += RouteBlock) {
+      const size_t Count = std::min(RouteBlock, N - Base);
+      uint64_t Epoch = 0;
+      const size_t Misses =
+          Adaptive.routeBatch(Keys + Base, Hashes, Count, MissIdx, Epoch);
+      for (size_t I = 0; I != Count; ++I)
+        Found[Base + I] = 2; // Sentinel: undecided.
+      for (size_t I = 0; I != Misses; ++I)
+        Found[Base + MissIdx[I]] = 0;
+      size_t Admitted = 0;
+      for (size_t I = 0; I != Count; ++I)
+        if (Found[Base + I] == 2) {
+          AdmIdx[Admitted] = static_cast<uint16_t>(I);
+          AdmImages[Admitted] = Hashes[I];
+          ++Admitted;
+        }
+      size_t FastHits = 0;
+      if (F && Admitted != 0 &&
+          F->getBatchHashed(AdmImages, Epoch, AdmOut, AdmFound, Admitted,
+                            FastHits)) {
+        for (size_t I = 0; I != Admitted; ++I) {
+          const size_t K = Base + AdmIdx[I];
+          if (AdmFound[I]) {
+            Out[K] = AdmOut[I];
+            Found[K] = 1;
+          } else {
+            Found[K] = 0;
+          }
+        }
+      } else if (F && Admitted != 0) {
+        // Stale epoch (migration window): guarded per-key redo.
+        for (size_t I = 0; I != Admitted; ++I) {
+          const size_t K = Base + AdmIdx[I];
+          Found[K] =
+              F->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit ? 1 : 0;
+        }
+      } else {
+        for (size_t I = 0; I != Admitted; ++I)
+          Found[Base + AdmIdx[I]] = 0;
+      }
+      // Spill lane + sweep-race retry for everything still unresolved
+      // (reload the lane pointer: see get() on why the retry must not
+      // depend on the admission verdict or the lane snapshot).
+      for (size_t I = 0; I != Count; ++I) {
+        const size_t K = Base + I;
+        if (Found[K] == 1) {
+          ++Hits;
+          continue;
+        }
+        if (spillFind(Keys[K], Out[K])) {
+          Found[K] = 1;
+          ++Hits;
+          continue;
+        }
+        // Loaded after the spill miss so a lane created mid-call is
+        // still seen.
+        const ShardedIndexMap<Value> *F2 = fast();
+        if (F2 && F2->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit) {
+          SEPE_COUNT("serving_table.get.retry_hit");
+          Found[K] = 1;
+          ++Hits;
+        }
+      }
+    }
+    return Hits;
+  }
 
   const StaticLane *staticLane() const {
     return StaticPtr.load(std::memory_order_acquire);

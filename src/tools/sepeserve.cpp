@@ -55,6 +55,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace sepe;
@@ -216,14 +217,20 @@ int main(int Argc, char **Argv) {
   const size_t ResidentCount = InFormat.size() / 2;
 
   // Out-of-format keys: one guard-rejecting byte written into copies of
-  // the resident keys. If the pattern is all-top (cannot be drifted out
-  // of) the run degrades to in-format traffic only.
+  // the resident keys, deduplicated — residents that differ only at the
+  // probe byte collapse to one drifted key, and each drifted key needs
+  // exactly one expected value. If the pattern is all-top (cannot be
+  // drifted out of) the run degrades to in-format traffic only.
   const DriftProbe Probe = findDriftProbe(Pattern);
   std::vector<std::string> Drifted;
   if (Probe.Valid) {
-    Drifted.assign(InFormat.begin(), InFormat.begin() + ResidentCount);
-    for (std::string &Key : Drifted)
+    std::unordered_set<std::string> Seen;
+    for (size_t I = 0; I != ResidentCount; ++I) {
+      std::string Key = InFormat[I];
       Key[Probe.Pos] = Probe.Byte;
+      if (Seen.insert(Key).second)
+        Drifted.push_back(std::move(Key));
+    }
   }
 
   // --- Table ---------------------------------------------------------------
@@ -331,7 +338,8 @@ int main(int Argc, char **Argv) {
         if (Op % 16 == 0) {
           // Batch lookup over resident keys: every slot must hit.
           for (size_t I = 0; I != 64; ++I) {
-            const size_t K = splitmix64(Rng) % ResidentCount;
+            const size_t K =
+                splitmix64(Rng) % (Drift ? Drifted.size() : ResidentCount);
             if (Drift) {
               BatchKeys[I] = Drifted[K];
               BatchOut[I] = ResidentCount + K;
@@ -352,7 +360,8 @@ int main(int Argc, char **Argv) {
               ++C.FailedLookups;
           }
         } else {
-          const size_t K = splitmix64(Rng) % ResidentCount;
+          const size_t K =
+              splitmix64(Rng) % (Drift ? Drifted.size() : ResidentCount);
           const std::string &Key = Drift ? Drifted[K] : InFormat[K];
           const uint64_t Expected = Drift ? ResidentCount + K : K;
           uint64_t V = 0;

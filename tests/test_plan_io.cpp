@@ -139,6 +139,53 @@ TEST(PlanIoTest, RejectsMalformedInput) {
   }
 }
 
+TEST(PlanIoTest, RejectsAStepLoadPastTheKey) {
+  // The SSN Pext plan (11-byte keys) with one step moved to offset 8:
+  // its 8-byte load would read bytes [8, 16) of an 11-byte key on every
+  // lookup, through both the interpreter and the JIT.
+  Expected<HashPlan> Plan = synthesize(
+      paperKeyFormat(PaperKey::SSN).abstract(), HashFamily::Pext);
+  ASSERT_TRUE(Plan);
+  const std::string Text = serializePlan(*Plan);
+  const size_t Step = Text.rfind("step ");
+  ASSERT_NE(Step, std::string::npos);
+  const size_t OffsetEnd = Text.find(' ', Step + 5);
+  const auto WithLastOffset = [&](const char *Offset) {
+    return Text.substr(0, Step + 5) + Offset + Text.substr(OffsetEnd);
+  };
+  Expected<HashPlan> Result = deserializePlan(WithLastOffset("8"));
+  ASSERT_FALSE(Result) << "accepted: " << WithLastOffset("8");
+  EXPECT_NE(Result.error().Message.find("ends past the 11-byte key"),
+            std::string::npos)
+      << Result.error().Message;
+  // The last in-bounds offset still loads.
+  EXPECT_TRUE(deserializePlan(WithLastOffset("3")));
+
+  // The confirmed case as a hand-written file.
+  EXPECT_FALSE(deserializePlan("sepe-plan v1\nfamily Pext\nlen 11 11\n"
+                               "flags bijective\nstep 8 0x0f0f 0\n"));
+}
+
+TEST(PlanIoTest, RejectsOffsetsAndLengthsPast32Bits) {
+  // 2^32 used to wrap to offset 0 and load a valid-looking plan.
+  EXPECT_FALSE(deserializePlan(
+      "sepe-plan v1\nfamily Pext\nlen 8 8\nstep 4294967296 0xff 0\n"));
+  EXPECT_FALSE(deserializePlan(
+      "sepe-plan v1\nfamily Pext\nlen 8 4294967304\nstep 0 0xff 0\n"));
+  EXPECT_TRUE(deserializePlan(
+      "sepe-plan v1\nfamily Pext\nlen 8 8\nstep 0 0xff 0\n"));
+}
+
+TEST(PlanIoTest, RejectsAPartialLoadPastTheKey) {
+  // A partial-load plan reads the first min(len, 8) bytes of its key.
+  EXPECT_TRUE(deserializePlan("sepe-plan v1\nfamily Pext\nlen 4 4\n"
+                              "flags partial\nstep 0 0x0f0f0f0f 0\n"));
+  EXPECT_FALSE(deserializePlan("sepe-plan v1\nfamily Pext\nlen 4 4\n"
+                               "flags partial\nstep 2 0x0f0f0f0f 0\n"));
+  EXPECT_FALSE(deserializePlan("sepe-plan v1\nfamily Pext\nlen 4 4\n"
+                               "flags partial variable\n"));
+}
+
 TEST(PlanIoTest, ErrorsCarryLineNumbers) {
   Expected<HashPlan> Result =
       deserializePlan("sepe-plan v1\nfamily Pext\nlen 8 8\nstep 0 zz 0\n");

@@ -9,12 +9,16 @@
 #include "core/regex_parser.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
+#include "support/telemetry.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
 #include <random>
+#include <set>
 #include <thread>
 
 using namespace sepe;
@@ -358,6 +362,179 @@ TEST(ServingTableStaticTest, SealSnapshotsPresentSubsetAcrossBothLanes) {
   EXPECT_EQ(V, 0u);
 }
 
+/// One key of a mixed batch and the value get() must find for it
+/// (absent keys: none).
+struct Probe {
+  std::string Key;
+  bool Present;
+  uint64_t Value;
+};
+
+/// getBatch over all of \p Probes in one call must agree with get() and
+/// with the expected contents, key by key.
+void expectBatchMatchesGet(const ServingTable<uint64_t> &Table,
+                           const std::vector<Probe> &Probes) {
+  std::vector<std::string_view> Views;
+  for (const Probe &P : Probes)
+    Views.push_back(P.Key);
+  std::vector<uint64_t> Out(Views.size(), ~0ull);
+  std::vector<uint8_t> Found(Views.size(), 2);
+  const size_t Hits =
+      Table.getBatch(Views.data(), Out.data(), Found.data(), Views.size());
+  size_t Present = 0;
+  for (size_t I = 0; I != Probes.size(); ++I) {
+    const Probe &P = Probes[I];
+    uint64_t V = ~0ull;
+    const bool Hit = Table.get(P.Key, V);
+    ASSERT_EQ(Hit, P.Present) << P.Key;
+    ASSERT_EQ(Found[I], Hit ? 1 : 0) << P.Key;
+    if (Hit) {
+      ASSERT_EQ(V, P.Value) << P.Key;
+      ASSERT_EQ(Out[I], P.Value) << P.Key;
+      ++Present;
+    }
+  }
+  EXPECT_EQ(Hits, Present);
+}
+
+/// A sealed SSN table whose batches mix sealed hits, absent keys,
+/// spill-only keys and puts made after the seal; \p Extra keys are put
+/// and sealed with the SSNs (a mixed-length lane when they are not 11
+/// bytes). The probe list outnumbers RouteBlock (256) and is shuffled,
+/// so every block of the batch holds all four kinds.
+void checkSealedBatchAgreesWithGet(const std::vector<std::string> &Extra) {
+  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+  const std::vector<std::string> Ssns = distinctKeys(SsnRegex, 700, 71);
+  std::vector<Probe> Probes;
+  std::vector<std::string_view> SealList;
+  for (size_t I = 0; I != 400; ++I) {
+    Table.put(Ssns[I], I);
+    Probes.push_back({Ssns[I], true, I});
+    SealList.push_back(Ssns[I]);
+  }
+  for (size_t I = 0; I != Extra.size(); ++I) {
+    Table.put(Extra[I], 500 + I);
+    Probes.push_back({Extra[I], true, 500 + I});
+    SealList.push_back(Extra[I]);
+  }
+  // Spill-only: out-of-format copies of other SSNs, put but not sealed.
+  const std::vector<std::string> Drifted = driftedCopies(
+      std::vector<std::string>(Ssns.begin() + 600, Ssns.end()),
+      patternOf(SsnRegex));
+  std::set<std::string> Spilled(Drifted.begin(), Drifted.end());
+  uint64_t SpillValue = 1000;
+  for (const std::string &Key : Spilled) {
+    ASSERT_TRUE(Table.put(Key, SpillValue));
+    Probes.push_back({Key, true, SpillValue++});
+  }
+  ASSERT_EQ(Table.sealStatic(SealList), SealList.size());
+  ASSERT_TRUE(Table.staticLaneActive());
+  for (size_t I = 400; I != 500; ++I) {
+    ASSERT_TRUE(Table.put(Ssns[I], 2000 + I)); // After the seal.
+    Probes.push_back({Ssns[I], true, 2000 + I});
+  }
+  for (size_t I = 500; I != 600; ++I)
+    Probes.push_back({Ssns[I], false, 0}); // Never put.
+  ASSERT_GT(Probes.size(), 2 * size_t{256});
+  std::shuffle(Probes.begin(), Probes.end(), std::mt19937_64(72));
+  // A static-lane miss falls through to the dynamic lanes, which hold
+  // every key too, so only the hit counter shows that the static lane
+  // served each sealed key — once in getBatch and once in get().
+  const bool WasEnabled = telemetry::enabled();
+  telemetry::setEnabled(true);
+  telemetry::Counter &StaticHits =
+      telemetry::counter("serving_table.static.hit");
+  const uint64_t HitsBefore = StaticHits.value();
+  expectBatchMatchesGet(Table, Probes);
+  if (telemetry::compiledIn()) {
+    EXPECT_EQ(StaticHits.value() - HitsBefore, 2 * SealList.size());
+  }
+  telemetry::setEnabled(WasEnabled);
+  EXPECT_TRUE(Table.staticLaneActive());
+}
+
+TEST(ServingTableStaticTest, BatchAgreesWithGetOnAUniformLengthLane) {
+  checkSealedBatchAgreesWithGet({});
+}
+
+TEST(ServingTableStaticTest, BatchAgreesWithGetOnAMixedLengthLane) {
+  checkSealedBatchAgreesWithGet({"not-an-ssn-at-all", "x", "12-34"});
+}
+
+TEST(ServingTableStaticTest, KeysOfUnsealedLengthsSkipTheStaticLane) {
+  // An SSN lane is imaged through the fast lane's 11-byte plan, whose
+  // loads assume 11 bytes. Shorter probes, each in a heap buffer of
+  // exactly its length, must miss without reaching it — in get,
+  // getBatch and erase. (ASan sees such an overread with SEPE_JIT=0;
+  // JIT code is not instrumented.)
+  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 81);
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Table.put(Keys[I], I);
+  ASSERT_EQ(Table.sealStatic(Views), Keys.size());
+
+  std::vector<std::unique_ptr<char[]>> Buffers;
+  std::vector<std::string_view> Short;
+  for (size_t Len = 1; Len != 11; ++Len) {
+    Buffers.push_back(std::make_unique<char[]>(Len));
+    std::memcpy(Buffers.back().get(), Keys[Len].data(), Len);
+    Short.emplace_back(Buffers.back().get(), Len);
+  }
+  uint64_t V = 0;
+  for (std::string_view Key : Short)
+    EXPECT_FALSE(Table.get(Key, V)) << Key;
+  std::vector<uint64_t> Out(Short.size());
+  std::vector<uint8_t> Found(Short.size(), 2);
+  EXPECT_EQ(Table.getBatch(Short.data(), Out.data(), Found.data(),
+                           Short.size()),
+            0u);
+  for (uint8_t F : Found)
+    EXPECT_EQ(F, 0);
+  EXPECT_FALSE(Table.erase(Short[3]));
+  EXPECT_TRUE(Table.staticLaneActive());
+}
+
+TEST(ServingTableStaticTest, SealFailsWhenAKeyDoesNotFitARecord) {
+  // A record stores the key length in 16 bits: a 70000-byte key cannot
+  // be sealed, so the seal fails as a whole and the dynamic lanes keep
+  // serving every key, the long one included.
+  ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 61);
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I != Keys.size(); ++I)
+    Table.put(Keys[I], I);
+  const std::string Long(70000, '7');
+  ASSERT_TRUE(Table.put(Long, 4242));
+  Views.push_back(Long);
+
+  const bool WasEnabled = telemetry::enabled();
+  telemetry::setEnabled(true);
+  telemetry::Counter &SealFailed =
+      telemetry::counter("serving_table.static.seal_failed");
+  const uint64_t FailedBefore = SealFailed.value();
+  EXPECT_EQ(Table.sealStatic(Views), 0u);
+  if (telemetry::compiledIn()) {
+    EXPECT_EQ(SealFailed.value(), FailedBefore + 1);
+  }
+  telemetry::setEnabled(WasEnabled);
+  EXPECT_FALSE(Table.staticLaneActive());
+
+  uint64_t V = 0;
+  ASSERT_TRUE(Table.get(Long, V));
+  EXPECT_EQ(V, 4242u);
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    ASSERT_TRUE(Table.get(Keys[I], V));
+    ASSERT_EQ(V, I);
+  }
+
+  // Without the long key the same list seals.
+  Views.pop_back();
+  EXPECT_EQ(Table.sealStatic(Views), Keys.size());
+  ASSERT_TRUE(Table.get(Long, V));
+  EXPECT_EQ(V, 4242u);
+}
+
 TEST(ServingTableStaticTest, EraseOfSealedKeyInvalidatesTheLane) {
   ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
   const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 31);
@@ -415,8 +592,12 @@ TEST(ServingTableStaticTest, ConcurrentReadersSurviveSealAndDropCycles) {
   // seals, drops, and re-seals. Every lookup must hit with the right
   // value regardless of which lane serves it — the retired-storage
   // discipline means a reader mid-probe on a dropped lane is safe.
+  // Absent keys ride along in every batch, so the residue path (static
+  // miss, then the dynamic batch path) races the seals and drops too.
   ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
-  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 256, 51);
+  const std::vector<std::string> All = distinctKeys(SsnRegex, 320, 51);
+  const std::vector<std::string> Keys(All.begin(), All.begin() + 256);
+  const std::vector<std::string> Absent(All.begin() + 256, All.end());
   std::vector<std::string_view> Views(Keys.begin(), Keys.end());
   for (size_t I = 0; I != Keys.size(); ++I)
     Table.put(Keys[I], I);
@@ -435,10 +616,20 @@ TEST(ServingTableStaticTest, ConcurrentReadersSurviveSealAndDropCycles) {
         uint64_t V = ~0ull;
         if (!Table.get(Keys[I], V) || V != I)
           Failed.fetch_add(1, std::memory_order_relaxed);
-        for (size_t J = 0; J != 16; ++J)
-          Probe[J] = Keys[(I + J) % Keys.size()];
-        if (Table.getBatch(Probe, Batch, Found, 16) != 16)
+        if (Table.get(Absent[I % Absent.size()], V))
           Failed.fetch_add(1, std::memory_order_relaxed);
+        // Every fourth slot asks for an absent key.
+        for (size_t J = 0; J != 16; ++J)
+          Probe[J] = J % 4 == 3 ? std::string_view(Absent[(I + J) %
+                                                          Absent.size()])
+                                : std::string_view(Keys[(I + J) %
+                                                        Keys.size()]);
+        if (Table.getBatch(Probe, Batch, Found, 16) != 12)
+          Failed.fetch_add(1, std::memory_order_relaxed);
+        for (size_t J = 0; J != 16; ++J)
+          if (Found[J] != (J % 4 == 3 ? 0 : 1) ||
+              (Found[J] && Batch[J] != (I + J) % Keys.size()))
+            Failed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   for (int Round = 0; Round != 20; ++Round) {
