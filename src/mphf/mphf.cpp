@@ -14,16 +14,27 @@
 // converge mean the input contains duplicate keys, which is detected
 // exactly and reported as such.
 //
+// The Split tier's buckets are independent and each bucket's pilots
+// depend only on its set of images, so the build runs flat and in
+// parallel without changing a single pilot: one counting sort lays the
+// images out bucket by bucket, the node counts of the bucket sizes fix
+// where every bucket's pilots go, and workers search contiguous bucket
+// ranges writing straight into their slice of the pilot array. Imaging
+// and the final bijection check run over key chunks the same way.
+//
 //===----------------------------------------------------------------------===//
 
 #include "mphf/mphf.h"
 
 #include "core/format_spec.h"
 #include "core/synthesizer.h"
+#include "support/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <numeric>
+#include <utility>
 
 using namespace sepe;
 
@@ -55,6 +66,15 @@ bool sepe::parseMphfTier(std::string_view Name, MphfTier &Tier) {
   return false;
 }
 
+std::vector<uint32_t> sepe::mphfSplitNodeCounts(uint32_t MaxBucket,
+                                                uint32_t LeafMax) {
+  std::vector<uint32_t> Nodes(size_t{MaxBucket} + 1, 1);
+  Nodes[0] = 0;
+  for (size_t M = size_t{LeafMax} + 1; M <= MaxBucket; ++M)
+    Nodes[M] = 1 + Nodes[M / 2] + Nodes[M - M / 2];
+  return Nodes;
+}
+
 size_t MphfPlan::bytesUsed() const {
   return Displace.size() * sizeof(uint32_t) + Pilots.bytesUsed() +
          Offsets.bytesUsed() + PilotStarts.bytesUsed();
@@ -71,6 +91,8 @@ Mphf::Mphf(std::shared_ptr<const MphfPlan> PlanIn)
   if (!Plan->RawBase) {
     assert(Plan->Extract && "extraction-based plan without a HashPlan");
     Base = SynthesizedHash(Plan->Extract);
+    ExtractMinLen = Plan->Extract->MinKeyLen;
+    ExtractMaxLen = Plan->Extract->MaxKeyLen;
   }
   if (Plan->NumBuckets >= 2 && std::has_single_bit(Plan->NumBuckets))
     BucketShift =
@@ -91,19 +113,18 @@ Mphf::Mphf(std::shared_ptr<const MphfPlan> PlanIn)
                        : static_cast<uint32_t>(Plan->Pilots.get(BR.PilotStart));
       MaxBucket = std::max(MaxBucket, BR.Size);
     }
-    NodeCount.assign(MaxBucket + 1, 1);
-    NodeCount[0] = 0;
-    for (uint32_t M = Plan->LeafMax + 1; M <= MaxBucket; ++M)
-      NodeCount[M] = 1 + NodeCount[M / 2] + NodeCount[M - M / 2];
+    NodeCount = mphfSplitNodeCounts(MaxBucket, Plan->LeafMax);
   }
 }
 
 void Mphf::baseBatch(const std::string_view *Keys, uint64_t *Out,
                      size_t N) const {
   assert(Plan && "evaluating an empty Mphf");
-  if (Plan->RawBase) {
+  if (Plan->RawBase ||
+      !std::all_of(Keys, Keys + N,
+                   [this](std::string_view K) { return extracts(K); })) {
     for (size_t I = 0; I != N; ++I)
-      Out[I] = mphfRawMix(Keys[I], Plan->Seed) ^ SeedMix;
+      Out[I] = baseImage(Keys[I]);
     return;
   }
   Base.hashBatch(Keys, Out, N);
@@ -124,28 +145,65 @@ void Mphf::evalBatch(const std::string_view *Keys, uint64_t *Out,
 
 namespace {
 
-/// Sorted-adjacent duplicate scan over \p Images. Returns true when two
-/// images collide; DuplicateKeys is set when the colliding *keys* are
-/// byte-identical (a user error no reseed can fix).
+/// True when two of \p Images are equal. A sorted copy finds them; the
+/// keys are read only for the images that repeat, to set DuplicateKeys
+/// when two of those keys are byte-identical (a user error no reseed
+/// can fix). The exact tiers run it over their whole (at most
+/// ExactMax-key) set; the Split tier finds repeats bucket by bucket and
+/// runs it only to tell what a repeat it found means.
 bool imagesCollide(const std::vector<uint64_t> &Images,
                    const std::string_view *Keys, bool &DuplicateKeys) {
   DuplicateKeys = false;
-  std::vector<uint32_t> Order(Images.size());
-  std::iota(Order.begin(), Order.end(), 0);
-  std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
-    return Images[A] < Images[B];
-  });
-  bool Collides = false;
-  for (size_t I = 0; I + 1 < Order.size(); ++I) {
-    if (Images[Order[I]] != Images[Order[I + 1]])
-      continue;
-    Collides = true;
-    if (Keys[Order[I]] == Keys[Order[I + 1]]) {
-      DuplicateKeys = true;
-      return true;
-    }
+  std::vector<uint64_t> Sorted(Images);
+  std::sort(Sorted.begin(), Sorted.end());
+  std::vector<uint64_t> Repeated;
+  for (size_t I = 0; I + 1 < Sorted.size(); ++I)
+    if (Sorted[I] == Sorted[I + 1] &&
+        (Repeated.empty() || Repeated.back() != Sorted[I]))
+      Repeated.push_back(Sorted[I]);
+  if (Repeated.empty())
+    return false;
+  std::vector<std::pair<uint64_t, std::string_view>> Clash;
+  for (size_t I = 0; I != Images.size(); ++I)
+    if (std::binary_search(Repeated.begin(), Repeated.end(), Images[I]))
+      Clash.emplace_back(Images[I], Keys[I]);
+  std::sort(Clash.begin(), Clash.end());
+  DuplicateKeys =
+      std::adjacent_find(Clash.begin(), Clash.end()) != Clash.end();
+  return true;
+}
+
+/// Base images grouped by bucket with one counting sort: bucket b holds
+/// Images[Start[b], Start[b + 1]), in input order. One flat array, not
+/// a heap block per bucket.
+struct BucketedImages {
+  std::vector<uint64_t> Images;
+  std::vector<uint64_t> Start; ///< NumBuckets + 1 cumulative sizes.
+
+  uint64_t *begin(size_t Bucket) { return Images.data() + Start[Bucket]; }
+  uint64_t *end(size_t Bucket) { return Images.data() + Start[Bucket + 1]; }
+  uint64_t size(size_t Bucket) const {
+    return Start[Bucket + 1] - Start[Bucket];
   }
-  return Collides;
+};
+
+BucketedImages bucketImages(const std::vector<uint64_t> &Bases,
+                            uint32_t NumBuckets) {
+  BucketedImages Out;
+  std::vector<uint32_t> BucketOf(Bases.size());
+  Out.Start.assign(size_t{NumBuckets} + 1, 0);
+  for (size_t I = 0; I != Bases.size(); ++I) {
+    BucketOf[I] = static_cast<uint32_t>(
+        mphfFastRange(mphfBucketHash(Bases[I]), NumBuckets));
+    ++Out.Start[BucketOf[I] + 1];
+  }
+  for (size_t B = 0; B != NumBuckets; ++B)
+    Out.Start[B + 1] += Out.Start[B];
+  std::vector<uint64_t> Fill(Out.Start.begin(), Out.Start.end() - 1);
+  Out.Images.resize(Bases.size());
+  for (size_t I = 0; I != Bases.size(); ++I)
+    Out.Images[Fill[BucketOf[I]]++] = Bases[I];
+  return Out;
 }
 
 /// Exact-synthesis tier: search one multiply-fold constant that is
@@ -181,28 +239,26 @@ bool buildDisplace(const std::vector<uint64_t> &Bases,
                    const MphfBuildOptions &Options, MphfPlan &Plan) {
   const uint64_t N = Bases.size();
   const uint32_t B = static_cast<uint32_t>(std::max<uint64_t>(1, (N + 3) / 4));
-  std::vector<std::vector<uint64_t>> Members(B);
-  for (uint64_t Base : Bases)
-    Members[mphfFastRange(mphfBucketHash(Base), B)].push_back(Base);
+  BucketedImages Buckets = bucketImages(Bases, B);
   std::vector<uint32_t> Order(B);
   std::iota(Order.begin(), Order.end(), 0);
   std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t C) {
-    return Members[A].size() > Members[C].size();
+    return Buckets.size(A) > Buckets.size(C);
   });
 
   std::vector<bool> Used(N, false);
   std::vector<uint64_t> Slots;
   Plan.Displace.assign(B, 0);
   for (uint32_t Bucket : Order) {
-    const std::vector<uint64_t> &Mem = Members[Bucket];
-    if (Mem.empty())
+    if (Buckets.size(Bucket) == 0)
       continue;
     bool Placed = false;
     for (uint32_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
       Slots.clear();
       bool Ok = true;
-      for (uint64_t Base : Mem) {
-        const uint64_t Slot = mphfFastRange(mphfSlotHash(Base, Pilot), N);
+      for (const uint64_t *Base = Buckets.begin(Bucket);
+           Base != Buckets.end(Bucket); ++Base) {
+        const uint64_t Slot = mphfFastRange(mphfSlotHash(*Base, Pilot), N);
         if (Used[Slot] ||
             std::find(Slots.begin(), Slots.end(), Slot) != Slots.end()) {
           Ok = false;
@@ -226,22 +282,23 @@ bool buildDisplace(const std::vector<uint64_t> &Bases,
   return true;
 }
 
-/// One recursive splitting tree over the bases of one bucket. Pilots
-/// append in DFS preorder; bases are reordered in place so each child
-/// works on a contiguous range.
-bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
-                    const MphfBuildOptions &Options,
-                    std::vector<uint64_t> &Pilots) {
+/// One recursive splitting tree over the bases [Begin, End) of one
+/// bucket. Pilots are written in DFS preorder at Pilot, which advances
+/// past them; bases are reordered in place so each child works on a
+/// contiguous range. Every pilot found depends only on the set of
+/// bases, not on their order.
+bool buildSplitNode(uint64_t *Begin, uint64_t *End,
+                    const MphfBuildOptions &Options, uint64_t *&Pilot) {
   const uint32_t M = static_cast<uint32_t>(End - Begin);
   if (M == 0)
     return true;
   if (M <= Options.LeafMax) {
     // Leaf: brute-force a pilot whose slot assignment is a bijection.
-    for (uint64_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
+    for (uint64_t P = 0; P != Options.PilotLimit; ++P) {
       uint64_t Taken = 0;
       bool Ok = true;
-      for (size_t I = Begin; I != End; ++I) {
-        const uint64_t Slot = mphfFastRange(mphfSlotHash(Bases[I], Pilot), M);
+      for (const uint64_t *Base = Begin; Base != End; ++Base) {
+        const uint64_t Slot = mphfFastRange(mphfSlotHash(*Base, P), M);
         if ((Taken >> Slot) & 1) {
           Ok = false;
           break;
@@ -249,7 +306,7 @@ bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
         Taken |= uint64_t{1} << Slot;
       }
       if (Ok) {
-        Pilots.push_back(Pilot);
+        *Pilot++ = P;
         return true;
       }
     }
@@ -259,81 +316,118 @@ bool buildSplitNode(std::vector<uint64_t> &Bases, size_t Begin, size_t End,
   // the low half of [0, M), then recurse on the two halves.
   const uint32_t M1 = M >> 1;
   uint64_t Found = ~uint64_t{0};
-  for (uint64_t Pilot = 0; Pilot != Options.PilotLimit; ++Pilot) {
+  for (uint64_t P = 0; P != Options.PilotLimit; ++P) {
     uint32_t Low = 0;
-    for (size_t I = Begin; I != End; ++I)
-      if (mphfFastRange(mphfSlotHash(Bases[I], Pilot), M) < M1)
+    for (const uint64_t *Base = Begin; Base != End; ++Base)
+      if (mphfFastRange(mphfSlotHash(*Base, P), M) < M1)
         ++Low;
     if (Low == M1) {
-      Found = Pilot;
+      Found = P;
       break;
     }
   }
   if (Found == ~uint64_t{0})
     return false;
-  Pilots.push_back(Found);
-  std::stable_partition(Bases.begin() + Begin, Bases.begin() + End,
-                        [&](uint64_t Base) {
-                          return mphfFastRange(mphfSlotHash(Base, Found),
-                                               M) < M1;
-                        });
-  return buildSplitNode(Bases, Begin, Begin + M1, Options, Pilots) &&
-         buildSplitNode(Bases, Begin + M1, End, Options, Pilots);
+  *Pilot++ = Found;
+  std::stable_partition(Begin, End, [&](uint64_t Base) {
+    return mphfFastRange(mphfSlotHash(Base, Found), M) < M1;
+  });
+  return buildSplitNode(Begin, Begin + M1, Options, Pilot) &&
+         buildSplitNode(Begin + M1, End, Options, Pilot);
 }
 
-/// RecSplit-style tier: bucket, then one splitting tree per bucket.
-bool buildSplit(const std::vector<uint64_t> &Bases,
-                const MphfBuildOptions &Options, MphfPlan &Plan) {
+/// How a tier build ended: Collided means two base images are equal,
+/// which no pilot can separate.
+enum class BuildOutcome { Built, Collided, Failed };
+
+/// RecSplit-style tier: bucket, then one splitting tree per bucket,
+/// searched in parallel over contiguous bucket ranges. Equal images
+/// share a bucket, so each bucket is checked for repeats before its
+/// search instead of sorting the whole set.
+BuildOutcome buildSplit(const std::vector<uint64_t> &Bases,
+                        const MphfBuildOptions &Options, MphfPlan &Plan) {
   const uint64_t N = Bases.size();
   // Rounding the bucket count UP to a power of two lets the evaluator
   // turn bucket selection into a shift (see Mphf::bucketOf) and only
   // ever shrinks the average bucket, i.e. fewer interior splits.
   const uint32_t B = static_cast<uint32_t>(std::bit_ceil(
       std::max<uint64_t>(1, (N + Options.AvgBucket - 1) / Options.AvgBucket)));
-  std::vector<std::vector<uint64_t>> Members(B);
-  for (uint64_t Base : Bases)
-    Members[mphfFastRange(mphfBucketHash(Base), B)].push_back(Base);
+  BucketedImages Buckets = bucketImages(Bases, B);
 
-  std::vector<uint64_t> Pilots;
-  std::vector<uint64_t> Offsets(B + 1, 0);
-  std::vector<uint64_t> PilotStarts(B + 1, 0);
-  Pilots.reserve(N / 4);
-  for (uint32_t Bucket = 0; Bucket != B; ++Bucket) {
-    Offsets[Bucket + 1] = Offsets[Bucket] + Members[Bucket].size();
-    PilotStarts[Bucket] = Pilots.size();
-    if (!buildSplitNode(Members[Bucket], 0, Members[Bucket].size(), Options,
-                        Pilots))
-      return false;
-  }
-  PilotStarts[B] = Pilots.size();
+  // A bucket's pilot count follows from its size alone, so every
+  // bucket's place in the DFS-preorder pilot array is known before any
+  // search runs.
+  uint64_t MaxBucket = 0;
+  for (uint32_t Bucket = 0; Bucket != B; ++Bucket)
+    MaxBucket = std::max(MaxBucket, Buckets.size(Bucket));
+  const std::vector<uint32_t> Nodes =
+      mphfSplitNodeCounts(static_cast<uint32_t>(MaxBucket), Options.LeafMax);
+  std::vector<uint64_t> PilotStarts(size_t{B} + 1, 0);
+  for (uint32_t Bucket = 0; Bucket != B; ++Bucket)
+    PilotStarts[Bucket + 1] =
+        PilotStarts[Bucket] + Nodes[Buckets.size(Bucket)];
+  std::vector<uint64_t> Pilots(PilotStarts[B]);
+
+  std::atomic<BuildOutcome> Outcome{BuildOutcome::Built};
+  parallelFor(B, [&](size_t Begin, size_t End) {
+    for (size_t Bucket = Begin; Bucket != End; ++Bucket) {
+      if (Outcome.load(std::memory_order_relaxed) != BuildOutcome::Built)
+        return;
+      uint64_t *First = Buckets.begin(Bucket), *Last = Buckets.end(Bucket);
+      std::sort(First, Last);
+      if (std::adjacent_find(First, Last) != Last) {
+        Outcome.store(BuildOutcome::Collided, std::memory_order_relaxed);
+        return;
+      }
+      uint64_t *Pilot = Pilots.data() + PilotStarts[Bucket];
+      if (!buildSplitNode(First, Last, Options, Pilot)) {
+        // A collision found elsewhere takes precedence: it decides
+        // between the duplicate-key error and raw imaging.
+        BuildOutcome Expected = BuildOutcome::Built;
+        Outcome.compare_exchange_strong(Expected, BuildOutcome::Failed,
+                                        std::memory_order_relaxed);
+        return;
+      }
+      assert(Pilot == Pilots.data() + PilotStarts[Bucket + 1] &&
+             "a bucket's pilots overran its node count");
+    }
+  });
+  if (Outcome.load() != BuildOutcome::Built)
+    return Outcome.load();
 
   Plan.Tier = MphfTier::Split;
   Plan.NumBuckets = B;
   Plan.LeafMax = Options.LeafMax;
   Plan.Pilots = PackedArray::pack(Pilots);
-  Plan.Offsets = EliasFano::encode(Offsets);
+  Plan.Offsets = EliasFano::encode(Buckets.Start);
   Plan.PilotStarts = EliasFano::encode(PilotStarts);
-  return true;
+  return BuildOutcome::Built;
 }
 
 /// Full-set bijectivity check: every key maps to a distinct index in
 /// [0, n). The builder never returns an unverified function.
 bool verifyBijection(const Mphf &F, const std::string_view *Keys,
                      size_t N) {
-  std::vector<uint64_t> Seen((N + 63) / 64, 0);
-  std::vector<uint64_t> Slots(std::min<size_t>(N, 4096));
-  for (size_t At = 0; At < N;) {
-    const size_t Chunk = std::min(Slots.size(), N - At);
-    F.evalBatch(Keys + At, Slots.data(), Chunk);
-    for (size_t I = 0; I != Chunk; ++I) {
-      const uint64_t Slot = Slots[I];
-      if (Slot >= N || ((Seen[Slot / 64] >> (Slot % 64)) & 1))
-        return false;
-      Seen[Slot / 64] |= uint64_t{1} << (Slot % 64);
+  std::vector<std::atomic<uint64_t>> Seen((N + 63) / 64);
+  std::atomic<bool> Ok{true};
+  parallelFor(N, [&](size_t Begin, size_t End) {
+    uint64_t Slots[256];
+    for (size_t At = Begin; At < End && Ok.load(std::memory_order_relaxed);
+         At += 256) {
+      const size_t Chunk = std::min<size_t>(256, End - At);
+      F.evalBatch(Keys + At, Slots, Chunk);
+      for (size_t I = 0; I != Chunk; ++I) {
+        const uint64_t Slot = Slots[I];
+        const uint64_t Bit = uint64_t{1} << (Slot % 64);
+        if (Slot >= N ||
+            (Seen[Slot / 64].fetch_or(Bit, std::memory_order_relaxed) & Bit)) {
+          Ok.store(false, std::memory_order_relaxed);
+          return;
+        }
+      }
     }
-    At += Chunk;
-  }
-  return true;
+  });
+  return Ok.load(std::memory_order_relaxed);
 }
 
 Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
@@ -358,44 +452,33 @@ Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
       Extract = std::make_shared<const HashPlan>(Synth.take());
   }
 
-  bool RawBase = Extract == nullptr;
+  // The plan's loads assume its own key lengths; a set with a key of
+  // any other length is imaged raw (and Mphf::baseImage images such a
+  // lookup key raw too).
+  bool RawBase =
+      Extract == nullptr ||
+      !std::all_of(Keys, Keys + N, [&](std::string_view K) {
+        return K.size() >= Extract->MinKeyLen && K.size() <= Extract->MaxKeyLen;
+      });
   std::vector<uint64_t> Raw;
   if (!RawBase) {
-    SynthesizedHash Front(Extract);
+    const SynthesizedHash Front(Extract);
     Raw.resize(N);
-    Front.hashBatch(Keys, Raw.data(), N);
-    bool DuplicateKeys = false;
-    if (imagesCollide(Raw, Keys, DuplicateKeys)) {
-      if (DuplicateKeys)
-        return Error{"duplicate key in MPHF input", std::string::npos};
-      // The extraction images are not distinct on this set (e.g. a
-      // format with more than 64 relevant bits whose xor-fold
-      // collided); fall back to seeded raw imaging, where reseeding
-      // can actually help.
-      RawBase = true;
-      Raw.clear();
-    }
+    parallelFor(N, [&](size_t Begin, size_t End) {
+      Front.hashBatch(Keys + Begin, Raw.data() + Begin, End - Begin);
+    });
   }
 
   std::vector<uint64_t> Bases(N);
-  for (unsigned Attempt = 0; Attempt <= Opts.MaxRestarts; ++Attempt) {
+  for (unsigned Attempt = 0; Attempt <= Opts.MaxRestarts;) {
     const uint64_t Seed = Opts.Seed + Attempt;
     const uint64_t SeedMix = mphfMix64(Seed);
-    if (RawBase) {
-      for (size_t I = 0; I != N; ++I)
-        Bases[I] = mphfRawMix(Keys[I], Seed) ^ SeedMix;
-      bool DuplicateKeys = false;
-      if (imagesCollide(Bases, Keys, DuplicateKeys)) {
-        if (DuplicateKeys)
-          return Error{"duplicate key in MPHF input", std::string::npos};
-        continue;
-      }
-    } else {
-      // The seed xor is a bijection, so distinct raw images stay
-      // distinct under every seed.
-      for (size_t I = 0; I != N; ++I)
-        Bases[I] = Raw[I] ^ SeedMix;
-    }
+    // The seed xor is a bijection, so distinct extraction images stay
+    // distinct under every seed.
+    parallelFor(N, [&](size_t Begin, size_t End) {
+      for (size_t I = Begin; I != End; ++I)
+        Bases[I] = (RawBase ? mphfRawMix(Keys[I], Seed) : Raw[I]) ^ SeedMix;
+    });
 
     auto Plan = std::make_shared<MphfPlan>();
     Plan->N = N;
@@ -403,21 +486,36 @@ Expected<Mphf> buildMphfImpl(const std::string_view *Keys, size_t N,
     Plan->RawBase = RawBase;
     Plan->Extract = RawBase ? nullptr : Extract;
 
-    bool Built = false;
-    if (N <= Opts.ExactMax) {
-      if (N <= Opts.MixerMax)
-        Built = buildMixer(Bases, SeedMix, Opts, *Plan);
-      if (!Built)
-        Built = buildDisplace(Bases, Opts, *Plan);
-    } else {
-      Built = buildSplit(Bases, Opts, *Plan);
-    }
-    if (!Built)
-      continue;
+    bool DuplicateKeys = false;
+    BuildOutcome Outcome = BuildOutcome::Failed;
+    if (N > Opts.ExactMax)
+      Outcome = buildSplit(Bases, Opts, *Plan);
+    else if (imagesCollide(Bases, Keys, DuplicateKeys))
+      Outcome = BuildOutcome::Collided;
+    else if ((N <= Opts.MixerMax && buildMixer(Bases, SeedMix, Opts, *Plan)) ||
+             buildDisplace(Bases, Opts, *Plan))
+      Outcome = BuildOutcome::Built;
 
-    Mphf F(std::move(Plan));
-    if (verifyBijection(F, Keys, N))
-      return F;
+    if (Outcome == BuildOutcome::Collided) {
+      if (N > Opts.ExactMax)
+        imagesCollide(Bases, Keys, DuplicateKeys);
+      if (DuplicateKeys)
+        return Error{"duplicate key in MPHF input", std::string::npos};
+      if (!RawBase) {
+        // The extraction images are not distinct on this set (e.g. a
+        // format with more than 64 relevant bits whose xor-fold
+        // collided); fall back to seeded raw imaging, where reseeding
+        // can actually help, from the first seed.
+        RawBase = true;
+        Raw = {};
+        continue;
+      }
+    } else if (Outcome == BuildOutcome::Built) {
+      Mphf F(std::move(Plan));
+      if (verifyBijection(F, Keys, N))
+        return F;
+    }
+    ++Attempt;
   }
   return Error{"MPHF construction did not converge after reseeds "
                "(pathological or duplicate key set)",

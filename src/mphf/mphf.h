@@ -30,7 +30,15 @@
 /// downstream hash applies its own finalizer), so the pilot search
 /// distinguishes exactly the bits that vary instead of raw key bytes.
 /// Sets without a usable extraction plan fall back to a seeded
-/// raw-byte mix.
+/// raw-byte mix, and so does every key whose length the plan was not
+/// synthesized for: the plan's fixed-offset loads would read past a
+/// shorter key.
+///
+/// Construction is flat and parallel: one counting sort groups the
+/// base images by bucket into a single array, and since buckets are
+/// independent, contiguous bucket ranges run their pilot searches on
+/// separate threads (support/parallel.h), each writing the pilots of
+/// its buckets where the serial build would have put them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -241,13 +249,18 @@ public:
   /// finalizer to it, so a finalizer here would only lengthen the
   /// lookup's serial dependency chain. The seed xor is a bijection, so
   /// distinct raw images stay distinct under every seed.
+  /// A key of a length the extraction plan was not synthesized for is
+  /// imaged by the raw mix, which reads only the key's own bytes: it
+  /// cannot be in the set, since the builder images the whole set raw
+  /// when any key has such a length.
   uint64_t baseImage(std::string_view Key) const {
-    return (Plan->RawBase ? mphfRawMix(Key, Plan->Seed) : Base(Key)) ^
+    return (extracts(Key) ? Base(Key) : mphfRawMix(Key, Plan->Seed)) ^
            SeedMix;
   }
 
   /// Base images for \p N keys; uses the extraction plan's fused batch
-  /// kernels when the plan has one.
+  /// kernels when the plan has one and every key has one of its
+  /// lengths.
   void baseBatch(const std::string_view *Keys, uint64_t *Out,
                  size_t N) const;
 
@@ -341,10 +354,19 @@ private:
                             : mphfFastRange(BucketHash, Plan->NumBuckets);
   }
 
+  /// True when \p Key is imaged through the extraction plan: the plan
+  /// is the front-end and \p Key has one of its lengths.
+  bool extracts(std::string_view Key) const {
+    return Key.size() >= ExtractMinLen && Key.size() <= ExtractMaxLen;
+  }
+
   std::shared_ptr<const MphfPlan> Plan;
   SynthesizedHash Base; ///< Valid only when !Plan->RawBase.
   uint64_t SeedMix = 0;
   unsigned BucketShift = 0;
+  /// The extraction plan's key lengths; an empty range for raw plans.
+  size_t ExtractMinLen = 1;
+  size_t ExtractMaxLen = 0;
 
   /// Split tier, decoded from the plan at attach time: everything a
   /// lookup needs about its bucket in one 16-byte (quarter-cache-line)
@@ -360,6 +382,14 @@ private:
   /// NodeCount[m]: pilots in the deterministic subtree over m keys.
   std::vector<uint32_t> NodeCount;
 };
+
+/// Pilots of a Split-tier bucket of m keys under \p LeafMax, for every
+/// m <= \p MaxBucket: none for an empty bucket, one for a leaf, else
+/// one for the node plus its two halves' (floor(m/2) and the rest).
+/// The evaluator descends by these counts, the builder places each
+/// bucket's pilots by them, and mphf_io rejects plans that disagree.
+std::vector<uint32_t> mphfSplitNodeCounts(uint32_t MaxBucket,
+                                          uint32_t LeafMax);
 
 /// Builds a minimal perfect hash over \p Keys (distinct; duplicates
 /// are reported as an error after reseeds exhaust). Selects the tier

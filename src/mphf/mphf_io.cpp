@@ -8,7 +8,9 @@
 
 #include "core/plan_io.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -274,6 +276,24 @@ Expected<MphfPlan> sepe::deserializeMphf(std::string_view Text) {
         return Error{"offset sequences must be monotone"};
     if (Offsets.back() != Plan.N || Starts.back() != Pilots.size())
       return Error{"offset sequences disagree with n / pilot count"};
+    // The evaluator descends a bucket by the node counts its size
+    // implies under leafmax, so a bucket with any other pilot count
+    // would send it past its pilots. Every leaf holds at most leafmax
+    // keys and has a pilot, which bounds the largest bucket (and the
+    // node-count table) by the pilot list's length.
+    uint64_t MaxBucket = 0;
+    for (size_t I = 0; I + 1 < Offsets.size(); ++I)
+      MaxBucket = std::max(MaxBucket, Offsets[I + 1] - Offsets[I]);
+    if (MaxBucket > uint64_t{Plan.LeafMax} * Pilots.size() ||
+        MaxBucket >= UINT32_MAX)
+      return Error{"a bucket holds more keys than its pilots can place"};
+    const std::vector<uint32_t> Nodes = mphfSplitNodeCounts(
+        static_cast<uint32_t>(MaxBucket), Plan.LeafMax);
+    for (size_t I = 0; I + 1 < Offsets.size(); ++I)
+      if (Starts[I + 1] - Starts[I] != Nodes[Offsets[I + 1] - Offsets[I]])
+        return Error{"bucket " + std::to_string(I) +
+                     ": pilot count disagrees with its size under leafmax " +
+                     std::to_string(Plan.LeafMax)};
     Plan.Pilots = PackedArray::pack(Pilots);
     Plan.Offsets = EliasFano::encode(Offsets);
     Plan.PilotStarts = EliasFano::encode(Starts);

@@ -64,6 +64,7 @@
 #include "container/sharded_index_map.h"
 #include "mphf/mphf.h"
 #include "runtime/adaptive_hash.h"
+#include "support/parallel.h"
 #include "support/telemetry.h"
 #include "support/trace.h"
 
@@ -140,49 +141,50 @@ public:
   /// sealed; 0 when none were present, the keys do not fit the lane's
   /// records (a key past 65535 bytes, or 4 GiB of keys in all) or MPHF
   /// construction failed — the table keeps serving from the dynamic
-  /// lanes either way. Concurrent
-  /// gets/puts are safe during the call; concurrent erases of the keys
-  /// being sealed are not — seal quiescent shards.
+  /// lanes either way. The gather, the MPHF build and the lane's
+  /// layout each run over key (or bucket) chunks on one worker per
+  /// hardware thread (support/parallel.h); lists under ~2^14 keys stay
+  /// on the calling thread. Concurrent gets/puts are safe during the
+  /// call; concurrent erases of the keys being sealed are not — seal
+  /// quiescent shards.
   size_t sealStatic(const std::string_view *Keys, size_t N) {
     std::lock_guard<std::mutex> Lock(MaintainMutex);
+    // The dynamic lanes are only read here, under their shared locks,
+    // so key chunks gather on separate workers into per-key slots; the
+    // compaction after keeps list order.
+    std::vector<Value> Got(N);
+    std::vector<uint8_t> Found(N);
+    parallelFor(N, [&](size_t Begin, size_t End) {
+      getBatchDynamic(Keys + Begin, Got.data() + Begin, Found.data() + Begin,
+                      End - Begin);
+    });
     // Views into the caller's list: the arena makes the only copy.
     std::vector<std::string_view> SealedKeys;
     std::vector<Value> SealedValues;
     SealedKeys.reserve(N);
     SealedValues.reserve(N);
-    Value Got[RouteBlock];
-    uint8_t Found[RouteBlock];
-    for (size_t Base = 0; Base < N; Base += RouteBlock) {
-      const size_t Count = std::min(RouteBlock, N - Base);
-      getBatchDynamic(Keys + Base, Got, Found, Count);
-      for (size_t I = 0; I != Count; ++I)
-        if (Found[I]) {
-          SealedKeys.push_back(Keys[Base + I]);
-          SealedValues.push_back(std::move(Got[I]));
-        }
-    }
-    if (SealedKeys.empty())
-      return 0;
     size_t MinLen = SIZE_MAX, MaxLen = 0;
     uint64_t Bytes = 0;
-    for (std::string_view K : SealedKeys) {
-      MinLen = std::min(MinLen, K.size());
-      MaxLen = std::max(MaxLen, K.size());
-      Bytes += K.size();
-    }
+    for (size_t I = 0; I != N; ++I)
+      if (Found[I]) {
+        SealedKeys.push_back(Keys[I]);
+        SealedValues.push_back(std::move(Got[I]));
+        MinLen = std::min(MinLen, Keys[I].size());
+        MaxLen = std::max(MaxLen, Keys[I].size());
+        Bytes += Keys[I].size();
+      }
+    if (SealedKeys.empty())
+      return 0;
     if (MaxLen > StaticLane::MaxKeyLen ||
         Bytes > StaticLane::MaxArenaBytes) {
       SEPE_COUNT("serving_table.static.seal_failed");
       return 0;
     }
-    // The plan's loads assume its own key lengths: it images the lane
-    // only when every sealed key (and so every key a lookup lets reach
-    // the MPHF, see StaticLane::mayHold) has one of them.
+    // buildMphf images the set raw when a sealed key has a length the
+    // plan was not synthesized for.
     MphfBuildOptions Options;
     const AdaptiveHash::Snapshot Snap = Adaptive.snapshot();
-    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective &&
-        MinLen >= Snap.Fast.plan().MinKeyLen &&
-        MaxLen <= Snap.Fast.plan().MaxKeyLen)
+    if (Snap.Fast.valid() && Snap.Fast.plan().Bijective)
       Options.Extract = std::make_shared<const HashPlan>(Snap.Fast.plan());
     Expected<Mphf> F = buildMphf(SealedKeys, Options);
     if (!F) {
@@ -190,8 +192,8 @@ public:
       return 0;
     }
     const size_t Count = SealedKeys.size();
-    auto Lane =
-        std::make_unique<StaticLane>(F.take(), SealedKeys, SealedValues);
+    auto Lane = std::make_unique<StaticLane>(F.take(), SealedKeys,
+                                             SealedValues, MinLen, MaxLen);
     StaticPtr.store(Lane.get(), std::memory_order_release);
     StaticStorage.push_back(std::move(Lane));
     SEPE_COUNT("serving_table.static.sealed");
@@ -391,10 +393,14 @@ public:
     return Hits;
   }
 
-  /// Batch insert; returns the number of keys newly inserted.
+  /// Batch insert; returns the number of keys newly inserted. Without
+  /// a fast lane every key goes to the spill lane, whose shards are
+  /// first grown once for the whole batch (reserveSpill).
   size_t putBatch(const std::string_view *Keys, const Value *Values,
                   size_t N) {
     ShardedIndexMap<Value> *F = fast();
+    if (!F)
+      reserveSpill(Keys, N);
     size_t Inserted = 0;
     uint64_t Hashes[RouteBlock];
     uint32_t MissIdx[RouteBlock];
@@ -567,48 +573,52 @@ private:
     Mphf F;
     std::vector<Record> Records;
     std::unique_ptr<char[]> Arena;
-    size_t MinLen = SIZE_MAX; ///< Shortest and longest sealed key.
-    size_t MaxLen = 0;
-    bool Uniform = false; ///< MinLen == MaxLen.
+    size_t MinLen; ///< Shortest and longest sealed key.
+    size_t MaxLen;
+    bool Uniform; ///< MinLen == MaxLen.
 
     /// Lays out \p Keys (the set \p Fn was built over; each at most
-    /// MaxKeyLen bytes, MaxArenaBytes in all) and their \p Values in
-    /// slot order. Every pass walks the keys in list order, so its
-    /// random accesses are independent stores and loads that overlap,
-    /// never a dependent gather from the list.
+    /// MaxKeyLen bytes, MaxArenaBytes in all, \p MinLen to \p MaxLen
+    /// long) and their \p Values in slot order. Every pass walks the
+    /// keys in list order, so its random accesses are independent
+    /// stores and loads that overlap, never a dependent gather from the
+    /// list; and since MPHF slots are distinct, no two keys write one
+    /// record or arena byte, so the passes run over key chunks on
+    /// separate workers.
     StaticLane(Mphf Fn, const std::vector<std::string_view> &Keys,
-               std::vector<Value> &Values)
-        : F(std::move(Fn)), Records(Keys.size()) {
+               std::vector<Value> &Values, size_t MinLen, size_t MaxLen)
+        : F(std::move(Fn)), Records(Keys.size()), MinLen(MinLen),
+          MaxLen(MaxLen), Uniform(MinLen == MaxLen) {
       const size_t Count = Keys.size();
       std::vector<uint32_t> SlotOf(Count);
-      uint64_t Bases[RouteBlock];
-      for (size_t At = 0; At < Count; At += RouteBlock) {
-        const size_t Chunk = std::min(RouteBlock, Count - At);
-        F.baseBatch(Keys.data() + At, Bases, Chunk);
-        for (size_t I = 0; I != Chunk; ++I)
-          F.prefetchSlot(Bases[I]);
-        for (size_t I = 0; I != Chunk; ++I) {
-          const Mphf::SlotFp SF = F.slotFpFromBase(Bases[I]);
-          const std::string_view Key = Keys[At + I];
-          Record &R = Records[SF.Slot];
-          R.V = std::move(Values[At + I]);
-          R.Len = static_cast<uint16_t>(Key.size());
-          R.Fp = static_cast<uint8_t>(SF.FpWord);
-          SlotOf[At + I] = static_cast<uint32_t>(SF.Slot);
-          MinLen = std::min(MinLen, Key.size());
-          MaxLen = std::max(MaxLen, Key.size());
+      parallelFor(Count, [&](size_t Begin, size_t End) {
+        uint64_t Bases[RouteBlock];
+        for (size_t At = Begin; At < End; At += RouteBlock) {
+          const size_t Chunk = std::min(RouteBlock, End - At);
+          F.baseBatch(Keys.data() + At, Bases, Chunk);
+          for (size_t I = 0; I != Chunk; ++I)
+            F.prefetchSlot(Bases[I]);
+          for (size_t I = 0; I != Chunk; ++I) {
+            const Mphf::SlotFp SF = F.slotFpFromBase(Bases[I]);
+            Record &R = Records[SF.Slot];
+            R.V = std::move(Values[At + I]);
+            R.Len = static_cast<uint16_t>(Keys[At + I].size());
+            R.Fp = static_cast<uint8_t>(SF.FpWord);
+            SlotOf[At + I] = static_cast<uint32_t>(SF.Slot);
+          }
         }
-      }
-      Uniform = MinLen == MaxLen;
+      });
       uint32_t Off = 0;
       for (Record &R : Records) {
         R.Off = Off;
         Off += R.Len;
       }
       Arena.reset(new char[Off]);
-      for (size_t I = 0; I != Count; ++I)
-        std::memcpy(Arena.get() + Records[SlotOf[I]].Off, Keys[I].data(),
-                    Keys[I].size());
+      parallelFor(Count, [&](size_t Begin, size_t End) {
+        for (size_t I = Begin; I != End; ++I)
+          std::memcpy(Arena.get() + Records[SlotOf[I]].Off, Keys[I].data(),
+                      Keys[I].size());
+      });
     }
 
     /// The record in \p Slot when it holds exactly \p Key under
@@ -625,8 +635,9 @@ private:
     }
 
     /// False for a key of no sealed length: it cannot be in the lane,
-    /// and it must not reach the MPHF, whose extraction plan may load
-    /// a fixed number of bytes.
+    /// so it skips the MPHF evaluation (the MPHF itself images a key
+    /// of a length its extraction plan has no loads for by the raw
+    /// mix, so the gate is not what keeps loads inside the key).
     bool mayHold(std::string_view Key) const {
       return Key.size() >= MinLen && Key.size() <= MaxLen;
     }
@@ -755,8 +766,34 @@ private:
     return FastPtr.load(std::memory_order_acquire);
   }
 
+  static size_t spillShardOf(std::string_view Key) {
+    return TransparentHash{}(Key) & (SpillShardCount - 1);
+  }
+
   SpillShard &spillShard(std::string_view Key) const {
-    return Spill[TransparentHash{}(Key) & (SpillShardCount - 1)];
+    return Spill[spillShardOf(Key)];
+  }
+
+  /// Grows each spill shard once for the keys of a batch bound there
+  /// (keys already present count too: they over-reserve, never under).
+  /// Reserving per block instead would rehash a shard again and again
+  /// as it fills, and a shard reserved for exactly its keys would end
+  /// almost full, lengthening the chains that absent gets and puts
+  /// walk: a shard the batch outgrows ends at most 3/4 full (growth one
+  /// insert at a time ends it between 1/2 and 1 full; 0.77 for the 2^16
+  /// keys a 2^20-key batch puts in each shard) and at least doubles, so
+  /// a stream of small batches still grows it geometrically.
+  void reserveSpill(const std::string_view *Keys, size_t N) {
+    std::array<size_t, SpillShardCount> Bound{};
+    for (size_t I = 0; I != N; ++I)
+      ++Bound[spillShardOf(Keys[I])];
+    for (size_t S = 0; S != SpillShardCount; ++S) {
+      std::unique_lock<std::shared_mutex> Lock(Spill[S].Mutex);
+      auto &Map = Spill[S].Map;
+      const size_t Need = Map.size() + Bound[S];
+      if (Need > Map.bucket_count() * Map.max_load_factor())
+        Map.reserve(std::max(Need * 4 / 3, 2 * Map.bucket_count()));
+    }
   }
 
   bool spillFind(std::string_view Key, Value &Out) const {

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -74,6 +76,35 @@ TEST(DirectIndexMapTest, FindBatchAgreesWithFind) {
   EXPECT_EQ(Hits, Fx.Views.size());
   for (size_t I = 0; I != Fx.Views.size(); ++I)
     ASSERT_EQ(Out[I], Map.find(Fx.Views[I])) << I;
+}
+
+TEST(DirectIndexMapTest, KeysOfOtherLengthsAreAbsent) {
+  // SSN keys are imaged through an 11-byte extraction plan. Probes of
+  // other lengths, each in a heap buffer of exactly its length, are
+  // imaged by the raw mix instead (ASan sees an overread there with
+  // SEPE_JIT=0; JIT code is not instrumented) and reported absent.
+  Fixture Fx = makeFixture(PaperKey::SSN, 1000);
+  ASSERT_FALSE(Fx.F.plan().RawBase);
+  const DirectIndexMap<uint32_t, 16> Map(Fx.F, Fx.Views, Fx.Values);
+  ASSERT_TRUE(Map.valid());
+  const std::string Long = Fx.Keys[0] + Fx.Keys[1] + Fx.Keys[2] + "abcdefg";
+  std::vector<std::unique_ptr<char[]>> Buffers;
+  std::vector<std::string_view> Probes;
+  for (std::string_view Text :
+       {std::string_view(), std::string_view("1"),
+        std::string_view(Fx.Keys[0]).substr(0, 10), std::string_view(Long)}) {
+    Buffers.push_back(std::make_unique<char[]>(Text.size()));
+    if (!Text.empty())
+      std::memcpy(Buffers.back().get(), Text.data(), Text.size());
+    Probes.emplace_back(Buffers.back().get(), Text.size());
+  }
+  ASSERT_EQ(Probes[3].size(), 40u);
+  for (std::string_view Probe : Probes)
+    EXPECT_EQ(Map.find(Probe), nullptr) << '"' << Probe << '"';
+  std::vector<const uint32_t *> Out(Probes.size(), &Fx.Values[0]);
+  EXPECT_EQ(Map.findBatch(Probes.data(), Out.data(), Probes.size()), 0u);
+  for (const uint32_t *Hit : Out)
+    EXPECT_EQ(Hit, nullptr);
 }
 
 TEST(DirectIndexMapTest, MismatchedMphfIsRejectedAtConstruction) {

@@ -13,6 +13,7 @@
 
 #include "mphf/mphf.h"
 
+#include "core/synthesizer.h"
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
 #include "mphf/mphf_explain.h"
@@ -23,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <string_view>
@@ -196,6 +199,61 @@ TEST(MphfBuildTest, OutOfSetKeysStayInRange) {
   EXPECT_LT((*F)("definitely not an ssn, far too long a key"), F->size());
 }
 
+TEST(MphfBuildTest, KeysOfOtherLengthsAreImagedRaw) {
+  // The SSN plan loads 11 bytes. A set holding a key of another length
+  // builds on raw imaging; a set of SSNs probed with other lengths, each
+  // in a heap buffer of exactly its length, images those probes raw
+  // (ASan sees an overread there with SEPE_JIT=0; JIT code is not
+  // instrumented).
+  std::vector<std::string> Mixed = paperKeys(PaperKey::SSN, 200);
+  Mixed.push_back("12345");
+  Expected<Mphf> Raw = buildMphf(Mixed, formatOptions(PaperKey::SSN));
+  ASSERT_TRUE(Raw) << Raw.error().Message;
+  EXPECT_TRUE(Raw->plan().RawBase);
+  EXPECT_TRUE(quality::measureMphf(*Raw, Mixed).perfect());
+
+  const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 200);
+  Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
+  ASSERT_TRUE(F) << F.error().Message;
+  ASSERT_FALSE(F->plan().RawBase);
+  std::vector<std::unique_ptr<char[]>> Buffers;
+  std::vector<std::string_view> Probes;
+  for (size_t Len : {0u, 1u, 10u, 12u}) {
+    Buffers.push_back(std::make_unique<char[]>(Len));
+    std::memset(Buffers.back().get(), '7', Len);
+    Probes.emplace_back(Buffers.back().get(), Len);
+  }
+  std::vector<uint64_t> Out(Probes.size());
+  F->evalBatch(Probes.data(), Out.data(), Probes.size());
+  for (size_t I = 0; I != Probes.size(); ++I) {
+    EXPECT_EQ(Out[I], (*F)(Probes[I])) << Probes[I].size();
+    EXPECT_LT(Out[I], F->size());
+  }
+}
+
+TEST(MphfBuildTest, CollidingExtractionImagesFallBackToRaw) {
+  // An SSN plan with every pext mask cleared images every key to one
+  // value: the exact tiers and the Split tier's per-bucket check must
+  // both see the collision, tell it from a duplicate key, and rebuild
+  // on raw imaging.
+  Expected<HashPlan> Synth =
+      synthesize(paperKeyFormat(PaperKey::SSN).abstract(), HashFamily::Pext);
+  ASSERT_TRUE(Synth) << Synth.error().Message;
+  HashPlan Blind = Synth.take();
+  for (PlanStep &Step : Blind.Steps)
+    Step.Mask = 0;
+  MphfBuildOptions Options;
+  Options.Extract = std::make_shared<const HashPlan>(Blind);
+  for (size_t N : {40u, 300u}) {
+    const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, N);
+    Expected<Mphf> F = buildMphf(Keys, Options);
+    ASSERT_TRUE(F) << "n=" << N << ": " << F.error().Message;
+    EXPECT_TRUE(F->plan().RawBase) << "n=" << N;
+    EXPECT_EQ(F->plan().Seed, MphfBuildOptions{}.Seed) << "n=" << N;
+    EXPECT_TRUE(quality::measureMphf(*F, Keys).perfect()) << "n=" << N;
+  }
+}
+
 TEST(MphfBuildTest, BatchAgreesWithSingleKeyEval) {
   const std::vector<std::string> Keys = paperKeys(PaperKey::IPv4, 777);
   Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::IPv4));
@@ -244,6 +302,48 @@ TEST(MphfAcceptanceTest, AllPaperFormatsAtAHundredThousandKeys) {
     EXPECT_EQ(R.Coverage, 1.0) << paperKeyName(Key);
     EXPECT_EQ(R.MaxIndex, Keys.size() - 1) << paperKeyName(Key);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden plans: the flat, parallel builder emits exactly the plans the
+// serial builder with one heap vector per bucket did. The digests are
+// FNV-1a over serializeMphf, recorded from that serial builder.
+//===----------------------------------------------------------------------===//
+
+uint64_t planDigest(PaperKey Key, size_t N, bool WithFormat, MphfTier Tier) {
+  const std::vector<std::string> Keys = paperKeys(Key, N);
+  Expected<Mphf> F =
+      buildMphf(Keys, WithFormat ? formatOptions(Key) : MphfBuildOptions{});
+  EXPECT_TRUE(F) << F.error().Message;
+  if (!F)
+    return 0;
+  EXPECT_EQ(F->plan().Tier, Tier);
+  EXPECT_EQ(F->plan().RawBase, !WithFormat);
+  uint64_t H = 0xCBF29CE484222325ull;
+  for (const unsigned char C : serializeMphf(F->plan())) {
+    H ^= C;
+    H *= 0x100000001B3ull;
+  }
+  return H;
+}
+
+// 2^17 keys make 2^15 buckets, enough for the pilot search to split
+// across workers.
+TEST(MphfGoldenTest, RawBaseSplitPlanIsUnchanged) {
+  EXPECT_EQ(planDigest(PaperKey::URL1, size_t{1} << 17, false,
+                       MphfTier::Split),
+            0x75d024abb9b89920ull);
+}
+
+TEST(MphfGoldenTest, ExtractionSplitPlanIsUnchanged) {
+  EXPECT_EQ(planDigest(PaperKey::SSN, size_t{1} << 17, true,
+                       MphfTier::Split),
+            0xf27cf4d103bc64d9ull);
+}
+
+TEST(MphfGoldenTest, DisplacePlanIsUnchanged) {
+  EXPECT_EQ(planDigest(PaperKey::SSN, 48, true, MphfTier::Displace),
+            0x2731b026cbedbcb0ull);
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,6 +402,25 @@ TEST(MphfIoTest, MalformedInputsFailWithLineNumbers) {
   ASSERT_FALSE(Unterminated);
   EXPECT_NE(Unterminated.error().Message.find("endplan"),
             std::string::npos);
+}
+
+TEST(MphfIoTest, RejectsAPlanTheEvaluatorCannotWalk) {
+  // Under leafmax 1 every bucket of more than one key is an interior
+  // node with more pilots than the plan stores for it: the evaluator
+  // would descend past the bucket's pilots (and past the pilot array).
+  const std::vector<std::string> Keys = paperKeys(PaperKey::SSN, 100000);
+  Expected<Mphf> F = buildMphf(Keys, formatOptions(PaperKey::SSN));
+  ASSERT_TRUE(F) << F.error().Message;
+  ASSERT_EQ(F->plan().LeafMax, 12u);
+  std::string Text = serializeMphf(F->plan());
+  ASSERT_TRUE(deserializeMphf(Text));
+  const size_t At = Text.find("\nleafmax 12\n");
+  ASSERT_NE(At, std::string::npos);
+  Text.replace(At, 11, "\nleafmax 1");
+  Expected<MphfPlan> Back = deserializeMphf(Text);
+  ASSERT_FALSE(Back);
+  EXPECT_NE(Back.error().Message.find("leafmax 1"), std::string::npos)
+      << Back.error().Message;
 }
 
 TEST(MphfExplainTest, AllThreeFormatsRender) {

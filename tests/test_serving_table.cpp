@@ -535,6 +535,48 @@ TEST(ServingTableStaticTest, SealFailsWhenAKeyDoesNotFitARecord) {
   EXPECT_EQ(V, 4242u);
 }
 
+TEST(ServingTableStaticTest, LargeSealWithoutAFastLaneServesEveryKey) {
+  // URL1's Pext plan is not bijective, so the table has no fast lane and
+  // putBatch reserves the spill shards for the whole batch up front.
+  // 2^16 keys are enough for sealStatic's gather and the static lane's
+  // layout passes to split across workers.
+  ServingTable<uint64_t> Table(paperKeyFormat(PaperKey::URL1).abstract(),
+                               servingOptions());
+  ASSERT_FALSE(Table.hasFastLane());
+  KeyGenerator Gen(paperKeyFormat(PaperKey::URL1), KeyDistribution::Uniform,
+                   71);
+  const std::vector<std::string> All = Gen.distinct((size_t{1} << 16) + 512);
+  const std::vector<std::string> Keys(All.begin(), All.end() - 512);
+  std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  std::vector<uint64_t> Values(Keys.size());
+  for (size_t I = 0; I != Values.size(); ++I)
+    Values[I] = I * 5 + 3;
+  EXPECT_EQ(Table.putBatch(Views.data(), Values.data(), Views.size()),
+            Keys.size());
+  EXPECT_EQ(Table.stats().SpillSize, Keys.size());
+  ASSERT_EQ(Table.sealStatic(Views), Keys.size());
+  ASSERT_TRUE(Table.staticLaneActive());
+
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    uint64_t V = ~0ull;
+    ASSERT_TRUE(Table.get(Views[I], V)) << Views[I];
+    ASSERT_EQ(V, Values[I]) << Views[I];
+  }
+  std::vector<uint64_t> Out(Views.size(), ~0ull);
+  std::vector<uint8_t> Found(Views.size(), 0);
+  EXPECT_EQ(
+      Table.getBatch(Views.data(), Out.data(), Found.data(), Views.size()),
+      Views.size());
+  for (size_t I = 0; I != Views.size(); ++I) {
+    ASSERT_TRUE(Found[I]) << Views[I];
+    ASSERT_EQ(Out[I], Values[I]) << Views[I];
+  }
+  for (size_t I = All.size() - 512; I != All.size(); ++I) {
+    uint64_t V = 0;
+    EXPECT_FALSE(Table.get(All[I], V)) << All[I];
+  }
+}
+
 TEST(ServingTableStaticTest, EraseOfSealedKeyInvalidatesTheLane) {
   ServingTable<uint64_t> Table(patternOf(SsnRegex), servingOptions());
   const std::vector<std::string> Keys = distinctKeys(SsnRegex, 64, 31);
