@@ -383,8 +383,8 @@ BuildOutcome buildSplit(const std::vector<uint64_t> &Bases,
       if (!buildSplitNode(First, Last, Options, Pilot)) {
         // A collision found elsewhere takes precedence: it decides
         // between the duplicate-key error and raw imaging.
-        BuildOutcome Expected = BuildOutcome::Built;
-        Outcome.compare_exchange_strong(Expected, BuildOutcome::Failed,
+        BuildOutcome Built = BuildOutcome::Built;
+        Outcome.compare_exchange_strong(Built, BuildOutcome::Failed,
                                         std::memory_order_relaxed);
         return;
       }
