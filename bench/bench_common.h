@@ -21,10 +21,9 @@
 /// string, the binary's own payload keys, then a "resources" object
 /// (peak RSS, user/sys CPU, wall clock of the whole run via
 /// support/resource_usage.h) and a trailing "telemetry" object — the
-/// full registry dump, which is `{"compiled_in": false, ...}` unless
-/// built with -DSEPE_TELEMETRY=ON and enabled via
-/// SEPE_TELEMETRY_ENABLED=1 (never auto-enabled here, so timers cannot
-/// perturb the numbers being measured).
+/// full registry dump, whose sections stay empty unless recording is
+/// enabled via SEPE_TELEMETRY_ENABLED=1 (never auto-enabled here, so
+/// timers cannot perturb the numbers being measured).
 ///
 /// The default ("quick") configuration keeps every binary within tens
 /// of seconds on one core while preserving the paper's shape.
@@ -147,8 +146,8 @@ inline std::FILE *openJsonReport(const std::string &Path,
 
 /// Finishes a report started by openJsonReport(): appends the
 /// process-level "resources" section (peak RSS, CPU, wall clock) and
-/// the telemetry registry dump (always valid JSON, even compiled out)
-/// as the final keys, then closes the file.
+/// the telemetry registry dump as the final keys, then closes the
+/// file.
 inline void closeJsonReport(std::FILE *F) {
   std::fprintf(F, "  \"resources\": %s,\n",
                ResourceUsage::sinceProcessStart().toJson().c_str());

@@ -27,7 +27,6 @@
 #define SEPE_CONTAINER_DIRECT_INDEX_MAP_H
 
 #include "mphf/mphf.h"
-#include "support/telemetry.h"
 
 #include <cstdint>
 #include <string_view>
@@ -97,11 +96,8 @@ public:
     if (!Sealed)
       return nullptr;
     const Mphf::SlotFp SF = F.slotFpFromBase(F.baseImage(Key));
-    if (Fingerprints[SF.Slot] != static_cast<Fp>(SF.FpWord)) {
-      SEPE_COUNT("direct_index.find.reject");
+    if (Fingerprints[SF.Slot] != static_cast<Fp>(SF.FpWord))
       return nullptr;
-    }
-    SEPE_COUNT("direct_index.find.hit");
     return &Values[SF.Slot];
   }
 

@@ -238,7 +238,6 @@ public:
     const int8_t Tag = tagOf(Scrambled);
     const size_t GroupMask = groupCount() - 1;
     size_t G = homeGroup(Scrambled);
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
     while (true) {
       const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
       uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
@@ -246,25 +245,20 @@ public:
         const size_t S =
             G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
         if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.erase", ScannedGroups);
           if (swiss::matchEmpty(GroupCtrl) != 0) {
             Ctrl[S] = swiss::CtrlEmpty;
           } else {
             Ctrl[S] = swiss::CtrlDeleted;
             ++Tombstones;
-            SEPE_COUNT("flat_index_map.tombstones.created");
           }
           --Elements;
           return true;
         }
         Match &= Match - 1;
       }
-      if (swiss::matchEmpty(GroupCtrl) != 0) {
-        SEPE_RECORD("flat_index_map.probe_groups.erase", ScannedGroups);
+      if (swiss::matchEmpty(GroupCtrl) != 0)
         return false;
-      }
       G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
     }
   }
 
@@ -276,21 +270,27 @@ public:
       rehash(ExpectedElements);
   }
 
-  /// Longest probe sequence observed for the current contents, in
-  /// *groups* (a probe step inspects a whole 16-slot group); the metric
-  /// the specialized layout is supposed to keep small. 1 means every
-  /// key sits in its home group.
-  size_t maxProbeLength() const {
+  /// Calls \p F(size_t Groups) once per live key with the length of
+  /// the probe that finds it, in *groups* (a probe step inspects a
+  /// whole 16-slot group; 1 means the key sits in its home group). An
+  /// on-demand walk over the table, so the probe loops themselves stay
+  /// uninstrumented.
+  template <typename Fn> void forEachProbeLength(Fn &&F) const {
     const size_t GroupMask = groupCount() - 1;
-    size_t Max = 0;
     for (size_t S = 0; S != Slots.size(); ++S) {
       if (Ctrl[S] < 0)
         continue;
       const size_t Home = homeGroup(scramble(Slots[S].Image));
       const size_t G = S / swiss::GroupSize;
-      const size_t Probe = (G + groupCount() - Home) & GroupMask;
-      Max = std::max(Max, Probe + 1);
+      F(((G + groupCount() - Home) & GroupMask) + 1);
     }
+  }
+
+  /// Longest probe sequence for the current contents, in groups; the
+  /// metric the specialized layout is supposed to keep small.
+  size_t maxProbeLength() const {
+    size_t Max = 0;
+    forEachProbeLength([&Max](size_t G) { Max = std::max(Max, G); });
     return Max;
   }
 
@@ -412,17 +412,14 @@ private:
     const size_t GroupMask = groupCount() - 1;
     size_t G = homeGroup(Scrambled);
     size_t Candidate = SIZE_MAX;
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
     while (true) {
       const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
       uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
       while (Match != 0) {
         const size_t S =
             G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
-        if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.insert", ScannedGroups);
+        if (Slots[S].Image == Image)
           return false;
-        }
         Match &= Match - 1;
       }
       // Remember the first reusable slot (tombstones included) but keep
@@ -436,9 +433,7 @@ private:
       if (swiss::matchEmpty(GroupCtrl) != 0)
         break;
       G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
     }
-    SEPE_RECORD("flat_index_map.probe_groups.insert", ScannedGroups);
     assert(Candidate != SIZE_MAX && "load bound guarantees a free slot");
     if (Ctrl[Candidate] == swiss::CtrlDeleted)
       --Tombstones;
@@ -454,27 +449,19 @@ private:
     const int8_t Tag = tagOf(Scrambled);
     const size_t GroupMask = groupCount() - 1;
     size_t G = homeGroup(Scrambled);
-    SEPE_TELEMETRY_ONLY(size_t ScannedGroups = 1;)
     while (true) {
       const int8_t *GroupCtrl = Ctrl.data() + G * swiss::GroupSize;
       uint32_t Match = swiss::matchTag(GroupCtrl, Tag);
       while (Match != 0) {
         const size_t S =
             G * swiss::GroupSize + static_cast<size_t>(std::countr_zero(Match));
-        if (Slots[S].Image == Image) {
-          SEPE_RECORD("flat_index_map.probe_groups.find", ScannedGroups);
-          SEPE_COUNT("flat_index_map.find.hit");
+        if (Slots[S].Image == Image)
           return &Slots[S].V;
-        }
         Match &= Match - 1;
       }
-      if (swiss::matchEmpty(GroupCtrl) != 0) {
-        SEPE_RECORD("flat_index_map.probe_groups.find", ScannedGroups);
-        SEPE_COUNT("flat_index_map.find.miss");
+      if (swiss::matchEmpty(GroupCtrl) != 0)
         return nullptr;
-      }
       G = (G + 1) & GroupMask;
-      SEPE_TELEMETRY_ONLY(++ScannedGroups;)
     }
   }
 

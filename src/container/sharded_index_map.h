@@ -258,10 +258,11 @@ public:
 
   /// Mirrors the per-shard counters into telemetry histograms — one
   /// sample per shard, so the exported histogram is the cross-shard
-  /// distribution (a hot shard shows up as a long tail). No-op without
-  /// -DSEPE_TELEMETRY=ON.
+  /// distribution (a hot shard shows up as a long tail). No-op while
+  /// telemetry is disabled.
   void recordContentionTelemetry() const {
-#if defined(SEPE_TELEMETRY)
+    if (!telemetry::enabled())
+      return;
     for (size_t I = 0; I != shardCount(); ++I) {
       const ShardContention C = shardContention(I);
       SEPE_RECORD("sharded_index_map.shard.shared_acquires",
@@ -273,7 +274,6 @@ public:
       SEPE_RECORD("sharded_index_map.shard.unique_contended",
                   C.UniqueContended);
     }
-#endif
   }
 
   /// Inserts (key, value); returns false (keeping the old value) when
@@ -311,11 +311,9 @@ public:
     std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
                                              std::adopt_lock);
     if (const Value *V = S.Map.findHashed(Image)) {
-      SEPE_COUNT("sharded_index_map.get.hit");
       Out = *V;
       return true;
     }
-    SEPE_COUNT("sharded_index_map.get.miss");
     return false;
   }
 
@@ -410,11 +408,9 @@ public:
     std::shared_lock<std::shared_mutex> Lock(acquireShared(S),
                                              std::adopt_lock);
     if (const Value *V = S.Map.findHashed(Image)) {
-      SEPE_COUNT("sharded_index_map.get.hit");
       Out = *V;
       return ProbeResult::Hit;
     }
-    SEPE_COUNT("sharded_index_map.get.miss");
     return ProbeResult::Miss;
   }
 

@@ -447,11 +447,6 @@ void batchFixedPextNetwork(const HashPlan &Plan, const std::string_view *Keys,
 // in one vector store. Every fused load stays inside [data, data+len):
 // a 32-byte load at base B is only emitted when the plan has a step at
 // B+24, whose own 8-byte scalar load already reaches B+32.
-//
-// The pext kernel keeps the per-step vertical shape — gather one step's
-// word from four keys, run the same PextNetwork the scalar soft path
-// uses lifted onto 64-bit lanes (and/xor/or/shift rounds only, which is
-// what lets one mask recipe serve both widths bit-identically).
 
 /// The step's word from four keys, lane L holding key L's word.
 inline __m256i gatherStep4(const char *D0, const char *D1, const char *D2,
@@ -460,15 +455,6 @@ inline __m256i gatherStep4(const char *D0, const char *D1, const char *D2,
                            static_cast<long long>(loadU64Le(D2 + Off)),
                            static_cast<long long>(loadU64Le(D1 + Off)),
                            static_cast<long long>(loadU64Le(D0 + Off)));
-}
-
-/// Lane-wise rotl by a per-step (not per-lane) count; AVX2 has no
-/// 64-bit rotate, so shift-shift-or it. srl with count 64 yields 0 by
-/// the intrinsic's contract, making Shift == 0 fall out correctly.
-inline __m256i rotl4(__m256i V, int Shift) {
-  const __m128i L = _mm_cvtsi32_si128(Shift);
-  const __m128i R = _mm_cvtsi32_si128(64 - Shift);
-  return _mm256_or_si256(_mm256_sll_epi64(V, L), _mm256_srl_epi64(V, R));
 }
 
 /// Attach-once load schedule for the fused wide xor kernel: each quad
@@ -643,68 +629,6 @@ void batchWideXor(const HashPlan &Plan, const std::string_view *Keys,
     Out[I] = evalFixedXor<>(Plan, Keys[I].data(), Keys[I].size());
 }
 
-/// Attach-once step state for the wide pext kernel: the compaction
-/// network's masks broadcast across lanes.
-struct WidePextStep {
-  uint32_t Off = 0;
-  int Shift = 0;
-  int Rounds = 0;
-  __m256i Mask{};
-  __m256i Move[6]{};
-};
-
-/// One step's network applied to four lanes at once.
-inline __m256i applyNetwork4(const WidePextStep &W, __m256i V) {
-  V = _mm256_and_si256(V, W.Mask);
-  for (int R = 0; R != W.Rounds; ++R) {
-    const __m128i Cnt = _mm_cvtsi32_si128(1 << R);
-    const __m256i T = _mm256_and_si256(V, W.Move[R]);
-    V = _mm256_or_si256(_mm256_xor_si256(V, T), _mm256_srl_epi64(T, Cnt));
-  }
-  return rotl4(V, W.Shift);
-}
-
-void batchWidePext(const HashPlan &Plan, const std::string_view *Keys,
-                   uint64_t *Out, size_t N) {
-  const PlanStep *Steps = Plan.Steps.data();
-  const size_t M = Plan.Steps.size();
-  WidePextStep W[MaxPrecomputedSteps];
-  for (size_t S = 0; S != M; ++S) {
-    const PextNetwork Net = PextNetwork::compile(Steps[S].Mask);
-    W[S].Off = Steps[S].Offset;
-    W[S].Shift = Steps[S].Shift;
-    W[S].Rounds = Net.Rounds;
-    W[S].Mask = _mm256_set1_epi64x(static_cast<long long>(Net.SourceMask));
-    for (int R = 0; R != 6; ++R)
-      W[S].Move[R] = _mm256_set1_epi64x(static_cast<long long>(Net.Move[R]));
-  }
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8) {
-    const char *D0 = Keys[I + 0].data();
-    const char *D1 = Keys[I + 1].data();
-    const char *D2 = Keys[I + 2].data();
-    const char *D3 = Keys[I + 3].data();
-    const char *D4 = Keys[I + 4].data();
-    const char *D5 = Keys[I + 5].data();
-    const char *D6 = Keys[I + 6].data();
-    const char *D7 = Keys[I + 7].data();
-    __m256i AccLo = _mm256_setzero_si256();
-    __m256i AccHi = _mm256_setzero_si256();
-    for (size_t S = 0; S != M; ++S) {
-      const uint32_t Off = W[S].Off;
-      AccLo = _mm256_xor_si256(
-          AccLo, applyNetwork4(W[S], gatherStep4(D0, D1, D2, D3, Off)));
-      AccHi = _mm256_xor_si256(
-          AccHi, applyNetwork4(W[S], gatherStep4(D4, D5, D6, D7, Off)));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + I), AccLo);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + I + 4), AccHi);
-  }
-  // The wide kernels only run at Native, where the scalar reference is
-  // the hardware-pext evaluator; the network agrees with it bit for bit.
-  for (; I != N; ++I)
-    Out[I] = evalFixedPext<pextHw>(Plan, Keys[I].data(), Keys[I].size());
-}
 #endif // SEPE_EXEC_AVX2
 
 // --- Kernel selection helpers ---------------------------------------------
@@ -950,12 +874,11 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
     // state fits the precomputed tables. Under Auto the rung only takes
     // plans it measurably wins: xor plans whose stride-8 offset runs
     // fuse into fewer loads (the kernels are load-bound, so a wide
-    // combine alone merely ties the interleaved rung), and never Pext —
-    // one-cycle hardware pext beats the 5-6-round lane network about
-    // 3x, so the wide network is kept for the forced-path ladder and
-    // for hosts where it is the only vector option. Aes stays on the
-    // interleaved AES-NI kernel — its sequential 128-bit rounds don't
-    // widen onto 64-bit lanes.
+    // combine alone merely ties the interleaved rung). Pext and Aes
+    // have no wide kernel, forced or not: one-cycle hardware pext on
+    // the interleaved rung beat a lane-wise compaction network (0.49-
+    // 0.82x of scalar when forced), and AES-NI's sequential 128-bit
+    // rounds don't widen onto 64-bit lanes.
     if ((Preferred == BatchPath::Auto || Preferred == BatchPath::Avx2) &&
         Isa == IsaLevel::Native && M <= MaxPrecomputedSteps &&
         avx2BatchAvailable()) {
@@ -969,9 +892,6 @@ SynthesizedHash::selectBatch(const HashPlan &Plan, IsaLevel Isa,
           return {batchWideXor, BatchPath::Avx2};
         break;
       case HashFamily::Pext:
-        if (Preferred == BatchPath::Avx2)
-          return {batchWidePext, BatchPath::Avx2};
-        break;
       case HashFamily::Aes:
         break;
       }
@@ -1305,7 +1225,6 @@ SynthesizedHash::SynthesizedHash(std::shared_ptr<const HashPlan> Plan,
       SEPE_TRACE_INSTANT(JitRegister, 0, Jit->codeBytes());
     }
   }
-#if defined(SEPE_TELEMETRY)
   // Attach-time kernel selection: how often each rung wins, and how
   // often a non-Auto request could not be honored as asked (resolved
   // downward by plan shape, ISA ceiling, or missing host support).
@@ -1328,5 +1247,4 @@ SynthesizedHash::SynthesizedHash(std::shared_ptr<const HashPlan> Plan,
   }
   if (Preferred != BatchPath::Auto && Preferred != Resolved)
     SEPE_COUNT("executor.attach.request_downgraded");
-#endif
 }

@@ -63,7 +63,6 @@ enum class BatchPath { Auto, Scalar, Interleaved, Avx2, Jit };
 /// kernel actually dispatched at runtime, not the compiled-in ceiling.
 const char *batchPathName(BatchPath Path);
 
-#if defined(SEPE_TELEMETRY)
 /// Per-call batch dispatch accounting: which rung ran, how many keys
 /// the call carried, and how many tail keys fell off the end of the
 /// 4-wide interleave groups (the stragglers every batch kernel finishes
@@ -92,7 +91,6 @@ inline void recordBatchDispatch(BatchPath Resolved, size_t N) {
   }
   SEPE_RECORD("executor.batch.tail_keys", N % 4);
 }
-#endif
 
 /// A KeyPattern membership guard compiled against one plan's load
 /// schedule (SynthesizedHash::compileGuard). When the plan is a
@@ -154,7 +152,6 @@ public:
   /// paper's generated functions.
   size_t operator()(std::string_view Key) const {
     assert(Plan && "hashing with an empty SynthesizedHash");
-    SEPE_COUNT("executor.single.calls");
     return Eval(*Plan, Key.data(), Key.size());
   }
 
@@ -167,9 +164,8 @@ public:
   void hashBatch(const std::string_view *Keys, uint64_t *Out,
                  size_t N) const {
     assert(Plan && "hashing with an empty SynthesizedHash");
-#if defined(SEPE_TELEMETRY)
-    recordBatchDispatch(Resolved, N);
-#endif
+    if (telemetry::enabled())
+      recordBatchDispatch(Resolved, N);
     Batch(*Plan, Keys, Out, N);
   }
 

@@ -316,7 +316,7 @@ bool sepe::runFlatIndexProbe(const Workload &Work,
     return false;
   SEPE_SPAN("driver.flat_index_probe");
   FlatIndexMap<uint64_t> Map(Pext, Work.Keys.size());
-  uint64_t Sink = 0;
+  uint64_t Hits = 0, Searches = 0;
   const auto Start = std::chrono::steady_clock::now();
   for (const auto &[Op, Index] : Work.Schedule) {
     const std::string &Key = Work.Keys[Index];
@@ -325,7 +325,8 @@ bool sepe::runFlatIndexProbe(const Workload &Work,
       Map.insert(Key, Index);
       break;
     case Workload::Op::Search:
-      Sink += Map.find(Key) != nullptr ? 1 : 0;
+      Hits += Map.find(Key) != nullptr ? 1 : 0;
+      ++Searches;
       break;
     case Workload::Op::Erase:
       Map.erase(Key);
@@ -333,7 +334,17 @@ bool sepe::runFlatIndexProbe(const Workload &Work,
     }
   }
   Result.BTimeMs = elapsedMs(Start);
-  doNotOptimize(Sink);
+  doNotOptimize(Hits);
+  // The map's probe loops carry no instrumentation: lookups are counted
+  // here, and the probe-length distribution is a walk of the final
+  // table.
+  SEPE_COUNT_N("flat_index_map.find.hit", Hits);
+  SEPE_COUNT_N("flat_index_map.find.miss", Searches - Hits);
+  if (telemetry::enabled()) {
+    telemetry::Histogram &Probe =
+        telemetry::histogram("flat_index_map.probe_groups.find");
+    Map.forEachProbeLength([&Probe](size_t G) { Probe.record(G); });
+  }
   Result.FinalSize = Map.size();
   Result.MaxProbeGroups = Map.maxProbeLength();
   Result.Tombstones = Map.tombstones();

@@ -8,10 +8,8 @@
 /// Process-global slot for the most recent live quality sample. The
 /// QualityMonitor (quality/monitor.h) computes samples from the
 /// adaptive runtime's in-format key reservoir and publishes them here;
-/// the Prometheus renderer (support/metrics_exporter.cpp) and the
-/// sepeserve `/quality` endpoint read them back. Kept dependency-free
-/// and compiled into sepe_core so the exporter can surface
-/// `sepe_quality_*` gauges without linking the full quality harness.
+/// sepeserve reads them back for its `/quality` endpoint and appends
+/// the `sepe_quality_*` gauges to its Prometheus exposition.
 ///
 //===----------------------------------------------------------------------===//
 

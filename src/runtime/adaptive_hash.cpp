@@ -124,7 +124,6 @@ uint64_t AdaptiveHash::operator()(std::string_view Key) const {
       onTripped();
     return H;
   }
-  SEPE_COUNT("adaptive.guard.miss_keys");
   Sampler.offer(Key);
   if (Detector.observe(1, 1) == DriftDetector::Window::Tripped)
     onTripped();
@@ -176,7 +175,6 @@ AdaptiveHash::Routed AdaptiveHash::route(std::string_view Key) const {
       onTripped();
     return {H, G->Epoch, true};
   }
-  SEPE_COUNT("adaptive.guard.miss_keys");
   Sampler.offer(Key);
   if (Detector.observe(1, 1) == DriftDetector::Window::Tripped)
     onTripped();

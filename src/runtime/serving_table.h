@@ -254,10 +254,8 @@ public:
     // too, for the cold-start case where maintain() created it
     // mid-call.
     if (const ShardedIndexMap<Value> *F2 = fast();
-        F2 && F2->getGuarded(Key, Out) == ProbeResult::Hit) {
-      SEPE_COUNT("serving_table.get.retry_hit");
+        F2 && F2->getGuarded(Key, Out) == ProbeResult::Hit)
       return true;
-    }
     return false;
   }
 
@@ -520,7 +518,7 @@ public:
   }
 
   /// Mirrors the fast lane's contention counters into telemetry
-  /// histograms (no-op without -DSEPE_TELEMETRY=ON or before the fast
+  /// histograms (no-op while telemetry is disabled or before the fast
   /// lane exists).
   void recordContentionTelemetry() const {
     if (const ShardedIndexMap<Value> *F = fast())
@@ -746,7 +744,6 @@ private:
         // still seen.
         const ShardedIndexMap<Value> *F2 = fast();
         if (F2 && F2->getGuarded(Keys[K], Out[K]) == ProbeResult::Hit) {
-          SEPE_COUNT("serving_table.get.retry_hit");
           Found[K] = 1;
           ++Hits;
         }
@@ -804,7 +801,6 @@ private:
     const auto It = S.Map.find(Key);
     if (It == S.Map.end())
       return false;
-    SEPE_COUNT("serving_table.spill.hit");
     Out = It->second;
     return true;
   }
@@ -814,10 +810,8 @@ private:
     std::unique_lock<std::shared_mutex> Lock(S.Mutex);
     const bool Inserted =
         S.Map.emplace(std::string(Key), std::move(V)).second;
-    if (Inserted) {
+    if (Inserted)
       SpillCount.fetch_add(1, std::memory_order_release);
-      SEPE_COUNT("serving_table.spill.inserted");
-    }
     return Inserted;
   }
 

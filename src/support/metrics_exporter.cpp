@@ -16,7 +16,6 @@
 
 #include "support/metrics_exporter.h"
 
-#include "quality/live_stats.h"
 #include "support/telemetry.h"
 #include "support/trace.h"
 
@@ -40,7 +39,6 @@ std::string metrics::renderPrometheus(const ExtraFn &Extra) {
   Out += "sepe_trace_dropped " + std::to_string(trace::dropped()) + "\n";
   Out += "# TYPE sepe_trace_occupancy gauge\n";
   Out += "sepe_trace_occupancy " + std::to_string(trace::occupancy()) + "\n";
-  Out += quality::liveStatsPrometheus();
   if (Extra)
     Out += Extra();
   return Out;

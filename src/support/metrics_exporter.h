@@ -21,12 +21,12 @@
 ///     containers without port mappings).
 ///
 /// Both render through renderPrometheus(), which appends
-/// flight-recorder gauges (emitted/dropped/occupancy), the live
-/// quality gauges (quality/live_stats.h, present once a monitor has
-/// published), and an optional caller-supplied block — sepeserve uses
-/// that hook for its shard contention lines — to
-/// telemetry::toPrometheus(). Rendering reads only atomics and the
-/// registry mutex, so a scrape never blocks the serving path.
+/// flight-recorder gauges (emitted/dropped/occupancy) and an optional
+/// caller-supplied block to telemetry::toPrometheus(); sepeserve uses
+/// that hook for its live quality gauges and shard contention lines,
+/// which keeps this layer free of quality/ and runtime/ includes.
+/// Rendering reads only atomics and the registry mutex, so a scrape
+/// never blocks the serving path.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,18 +6,14 @@
 
 #include "support/telemetry.h"
 
-#if defined(SEPE_TELEMETRY)
 #include "support/json.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#endif
 
 using namespace sepe;
-
-#if defined(SEPE_TELEMETRY)
 
 namespace {
 
@@ -108,8 +104,6 @@ void appendHistogramMap(std::string &Out, const char *Section,
 
 std::atomic<bool> telemetry::detail::EnabledFlag{envEnabled()};
 
-bool telemetry::compiledIn() { return true; }
-
 void telemetry::setEnabled(bool On) {
   detail::EnabledFlag.store(On, std::memory_order_relaxed);
 }
@@ -135,7 +129,7 @@ telemetry::Histogram &telemetry::span(const char *Name) {
 std::string telemetry::toJson() {
   Registry &R = registry();
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  std::string Out = "{\"schema_version\":1,\"compiled_in\":true,";
+  std::string Out = "{\"schema_version\":1,";
   Out += std::string("\"enabled\":") + (enabled() ? "true" : "false") + ",";
   Out += "\"counters\":{";
   bool First = true;
@@ -216,20 +210,3 @@ std::string telemetry::toPrometheus() {
     appendPromSummary(Out, promName(Name, "_ns"), H);
   return Out;
 }
-
-#else // !SEPE_TELEMETRY
-
-bool telemetry::compiledIn() { return false; }
-
-std::string telemetry::toJson() {
-  return "{\"schema_version\":1,\"compiled_in\":false,\"enabled\":false,"
-         "\"counters\":{},\"histograms\":{},\"spans\":{}}";
-}
-
-void telemetry::resetAll() {}
-
-std::string telemetry::toPrometheus() {
-  return "# sepe telemetry compiled out (-DSEPE_TELEMETRY=OFF)\n";
-}
-
-#endif // SEPE_TELEMETRY

@@ -8,22 +8,22 @@
 /// The observability substrate: atomic counters, fixed-bucket log2
 /// histograms, and RAII scoped timers, all reachable by name through a
 /// process-wide registry that serializes to JSON. Instrumentation sites
-/// use the SEPE_COUNT / SEPE_RECORD / SEPE_SPAN macros, which cache the
-/// registry lookup in a function-local static so the steady-state cost
-/// of a hot-path metric is one relaxed atomic op.
+/// use the SEPE_COUNT / SEPE_COUNT_N / SEPE_RECORD / SEPE_SPAN macros.
 ///
-/// Two gates, by design:
+/// One gate, at run time: recording is off unless setEnabled(true) is
+/// called or SEPE_TELEMETRY_ENABLED is set in the environment. Every
+/// macro tests enabled() first, so a disabled site is one relaxed load
+/// and a predictable branch: it evaluates no argument, touches no
+/// function-local static, registers nothing and allocates nothing. An
+/// enabled site caches its registry lookup in a function-local static,
+/// so its steady-state cost is one relaxed atomic op.
 ///
-///   - compile time: without -DSEPE_TELEMETRY the macros expand to
-///     nothing and the metric types become empty shims, so every call
-///     site compiles to zero instructions — the default for release
-///     builds and the reason the batch kernels can be instrumented at
-///     all;
-///   - runtime: with telemetry compiled in, recording is further gated
-///     on an atomic enabled flag (off unless setEnabled(true) is called
-///     or SEPE_TELEMETRY_ENABLED is set in the environment), so an
-///     instrumented binary pays one predictable branch per site until a
-///     caller asks for metrics.
+/// Sites run once per call, per batch or per lifecycle event, never
+/// once per key or per probe: a synthesized hash costs a few ns per
+/// key, so only per-call granularity keeps the disabled cost out of
+/// the noise. Batch paths count with SEPE_COUNT_N once per call;
+/// per-key distributions (FlatIndexMap probe lengths) are computed on
+/// demand by walking the structure.
 ///
 /// Registered metrics live for the process lifetime; resetAll() zeroes
 /// values but never unregisters, so cached references stay valid.
@@ -33,25 +33,16 @@
 #ifndef SEPE_SUPPORT_TELEMETRY_H
 #define SEPE_SUPPORT_TELEMETRY_H
 
-#include <cstdint>
-#include <string>
-
-#if defined(SEPE_TELEMETRY)
 #include <atomic>
 #include <bit>
 #include <chrono>
-#endif
+#include <cstdint>
+#include <string>
 
 namespace sepe::telemetry {
 
-/// True when the library was built with -DSEPE_TELEMETRY; lets tests
-/// and tools branch on whether recorded values can be non-zero.
-bool compiledIn();
-
 /// Serializes every registered metric to one JSON object (see
-/// DESIGN.md "Observability" for the schema). Always valid JSON — a
-/// compiled-out build reports {"compiled_in": false, ...} with empty
-/// sections, so BENCH_*.json embedding never needs to special-case.
+/// DESIGN.md "Observability" for the schema).
 std::string toJson();
 
 /// Zeroes every registered counter, histogram, and span in place.
@@ -61,12 +52,8 @@ void resetAll();
 /// format (counters as `counter`, histograms and spans as `summary`
 /// with p50/p90/p99/p99.9 quantile lines estimated from the log2
 /// buckets; span names get an `_ns` unit suffix). Metric names are
-/// sanitized to [a-zA-Z0-9_:] and prefixed `sepe_`. A compiled-out
-/// build emits only a comment line, so scrapers see a valid page
-/// either way.
+/// sanitized to [a-zA-Z0-9_:] and prefixed `sepe_`.
 std::string toPrometheus();
-
-#if defined(SEPE_TELEMETRY)
 
 namespace detail {
 /// The runtime gate. Out-of-line initialization (telemetry.cpp) seeds
@@ -181,13 +168,14 @@ private:
 };
 
 /// Times a scope and records the elapsed nanoseconds into a span
-/// histogram on destruction. When telemetry is runtime-disabled the
-/// clock is never read.
+/// histogram on destruction. When telemetry is runtime-disabled (or
+/// the span is null) the clock is never read.
 class ScopedTimer {
 public:
   explicit ScopedTimer(Histogram &Span)
-      : Span(enabled() ? &Span : nullptr) {
-    if (this->Span)
+      : ScopedTimer(enabled() ? &Span : nullptr) {}
+  explicit ScopedTimer(Histogram *Span) : Span(Span) {
+    if (Span)
       Start = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() {
@@ -213,113 +201,45 @@ Histogram &histogram(const char *Name);
 /// Like histogram() but serialized under "spans" with ns units.
 Histogram &span(const char *Name);
 
-#else // !SEPE_TELEMETRY
-
-// Compiled-out shims: same API surface so non-macro callers (tests,
-// tools) build unchanged; every member is an empty inline the optimizer
-// deletes.
-
-inline bool enabled() { return false; }
-inline void setEnabled(bool) {}
-
-class Counter {
-public:
-  void add(uint64_t = 1) {}
-  uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Histogram {
-public:
-  static constexpr size_t NumBuckets = 65;
-  static size_t bucketOf(uint64_t) { return 0; }
-  static uint64_t bucketFloor(size_t) { return 0; }
-  void record(uint64_t) {}
-  uint64_t count() const { return 0; }
-  uint64_t sum() const { return 0; }
-  uint64_t max() const { return 0; }
-  uint64_t bucket(size_t) const { return 0; }
-  double percentile(double) const { return 0.0; }
-  void reset() {}
-};
-
-class ScopedTimer {
-public:
-  explicit ScopedTimer(Histogram &) {}
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-};
-
-inline Counter &counter(const char *) {
-  static Counter Dummy;
-  return Dummy;
-}
-inline Histogram &histogram(const char *) {
-  static Histogram Dummy;
-  return Dummy;
-}
-inline Histogram &span(const char *) {
-  static Histogram Dummy;
-  return Dummy;
-}
-
-#endif // SEPE_TELEMETRY
-
 } // namespace sepe::telemetry
 
 // --- Instrumentation-site macros -------------------------------------------
 //
-// NAME must be a string literal (it is the registry key and is cached in
-// a function-local static on first execution). In compiled-out builds
-// every macro expands to nothing; SEPE_TELEMETRY_ONLY(...) guards the
-// occasional helper statement (a probe-length local, say) that only
-// exists to feed a metric.
-
-#if defined(SEPE_TELEMETRY)
+// NAME must be a string literal: it is the registry key, looked up once
+// and cached in a function-local static (inside a per-site lambda) the
+// first time the site runs enabled. The enabled() test comes first, so
+// a disabled site never reaches the static and never evaluates N or V.
+// The lambda is cold and out of line, so the compiler moves each
+// enabled branch into the cold part of the function that holds the
+// site, away from the code a disabled binary runs.
 
 #define SEPE_TELEMETRY_CAT2(A, B) A##B
 #define SEPE_TELEMETRY_CAT(A, B) SEPE_TELEMETRY_CAT2(A, B)
 
+/// The site's cached metric: \p LOOKUP is counter, histogram or span.
+#define SEPE_TELEMETRY_SITE(LOOKUP, NAME)                                   \
+  ([]() __attribute__((cold, noinline)) -> auto & {                         \
+    static auto &SepeTelemetrySite = ::sepe::telemetry::LOOKUP(NAME);       \
+    return SepeTelemetrySite;                                               \
+  }())
+
 #define SEPE_COUNT_N(NAME, N)                                               \
   do {                                                                      \
-    static ::sepe::telemetry::Counter &SepeTelemetrySiteCounter =           \
-        ::sepe::telemetry::counter(NAME);                                   \
-    SepeTelemetrySiteCounter.add(N);                                        \
+    if (::sepe::telemetry::enabled())                                       \
+      SEPE_TELEMETRY_SITE(counter, NAME).add(N);                            \
   } while (0)
 #define SEPE_COUNT(NAME) SEPE_COUNT_N(NAME, 1)
 
 #define SEPE_RECORD(NAME, V)                                                \
   do {                                                                      \
-    static ::sepe::telemetry::Histogram &SepeTelemetrySiteHistogram =       \
-        ::sepe::telemetry::histogram(NAME);                                 \
-    SepeTelemetrySiteHistogram.record(V);                                   \
+    if (::sepe::telemetry::enabled())                                       \
+      SEPE_TELEMETRY_SITE(histogram, NAME).record(V);                       \
   } while (0)
 
 #define SEPE_SPAN(NAME)                                                     \
-  static ::sepe::telemetry::Histogram &SEPE_TELEMETRY_CAT(                  \
-      SepeTelemetrySiteSpan, __LINE__) = ::sepe::telemetry::span(NAME);     \
   ::sepe::telemetry::ScopedTimer SEPE_TELEMETRY_CAT(SepeTelemetrySiteTimer, \
                                                     __LINE__)(              \
-      SEPE_TELEMETRY_CAT(SepeTelemetrySiteSpan, __LINE__))
-
-#define SEPE_TELEMETRY_ONLY(...) __VA_ARGS__
-
-#else // !SEPE_TELEMETRY
-
-#define SEPE_COUNT_N(NAME, N)                                               \
-  do {                                                                      \
-  } while (0)
-#define SEPE_COUNT(NAME)                                                    \
-  do {                                                                      \
-  } while (0)
-#define SEPE_RECORD(NAME, V)                                                \
-  do {                                                                      \
-  } while (0)
-#define SEPE_SPAN(NAME)                                                     \
-  do {                                                                      \
-  } while (0)
-#define SEPE_TELEMETRY_ONLY(...)
-
-#endif // SEPE_TELEMETRY
+      ::sepe::telemetry::enabled() ? &SEPE_TELEMETRY_SITE(span, NAME)       \
+                                   : nullptr)
 
 #endif // SEPE_SUPPORT_TELEMETRY_H

@@ -22,16 +22,13 @@
 #include "support/json.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
-
-#if defined(SEPE_TRACE)
 #include <bit>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
-#endif
+#include <string>
 
 using namespace sepe;
 
@@ -84,8 +81,6 @@ const char *trace::eventKindName(EventKind K) {
   }
   return "unknown";
 }
-
-#if defined(SEPE_TRACE)
 
 namespace {
 
@@ -224,8 +219,6 @@ void drainRing(Ring &Ring, std::vector<trace::Event> &Out) {
 
 std::atomic<bool> trace::detail::EnabledFlag{envEnabled()};
 
-bool trace::compiledIn() { return true; }
-
 void trace::setEnabled(bool On) {
   detail::EnabledFlag.store(On, std::memory_order_relaxed);
 }
@@ -296,25 +289,7 @@ void trace::setRingCapacity(size_t Events) {
                                 std::memory_order_relaxed);
 }
 
-#else // !SEPE_TRACE
-
-bool trace::compiledIn() { return false; }
-
-std::vector<trace::Event> trace::drain() { return {}; }
-
-uint64_t trace::emitted() { return 0; }
-uint64_t trace::dropped() { return 0; }
-uint64_t trace::occupancy() { return 0; }
-
-void trace::setRingCapacity(size_t) {}
-
-#endif // SEPE_TRACE
-
 // --- Chrome-trace export ----------------------------------------------------
-//
-// Built in both flavors: a compiled-out binary handed --trace= still
-// writes the valid empty document, so downstream tooling never has to
-// special-case the build.
 
 namespace {
 
@@ -337,8 +312,6 @@ bool trace::writeChromeTrace(const std::string &Path) {
   Out.reserve(128 + Events.size() * 128);
   Out += "{\"displayTimeUnit\":\"ms\",\"otherData\":{";
   Out += "\"generator\":\"sepe-trace\"";
-  Out += ",\"compiled_in\":";
-  Out += compiledIn() ? "true" : "false";
   Out += ",\"emitted\":" + std::to_string(emitted());
   Out += ",\"dropped\":" + std::to_string(dropped());
   Out += "},\"traceEvents\":[";

@@ -14,17 +14,14 @@
 /// can be causally followed through re-synthesis, hot swap, shard
 /// migration, and JIT code retirement across threads.
 ///
-/// The gate design mirrors telemetry.h exactly:
-///
-///   - compile time: without -DSEPE_TRACE the SEPE_TRACE_* macros drop
-///     their arguments unexpanded and every API becomes an empty inline
-///     shim, so instrumented hot paths (dual writes, guard rejections)
-///     compile to zero instructions;
-///   - runtime: with tracing compiled in, emission is gated on an
-///     atomic enabled flag (off unless setEnabled(true) is called or
-///     SEPE_TRACE_ENABLED is set in the environment), so an
-///     instrumented binary pays one relaxed load + predictable branch
-///     per site until a caller asks for a trace.
+/// One gate, at run time, as in telemetry.h: emission is off unless
+/// setEnabled(true) is called or SEPE_TRACE_ENABLED is set in the
+/// environment. The SEPE_TRACE_* macros test enabled() before they
+/// evaluate GEN or ARG, so a disabled site is one relaxed load and a
+/// predictable branch and the clock is never read. Sites mark
+/// lifecycle events (drift trips, swaps, migrations, sweeps, JIT
+/// attach and retire, guard rejections on the migration redo path),
+/// never per-key work.
 ///
 /// Memory is bounded: each thread owns a fixed-capacity ring
 /// (setRingCapacity, default 8192 events) and a writer that catches up
@@ -42,14 +39,11 @@
 #ifndef SEPE_SUPPORT_TRACE_H
 #define SEPE_SUPPORT_TRACE_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#if defined(SEPE_TRACE)
-#include <atomic>
-#endif
 
 namespace sepe::trace {
 
@@ -117,9 +111,6 @@ struct Event {
   bool IsSpan = false;
 };
 
-/// True when the library was built with -DSEPE_TRACE.
-bool compiledIn();
-
 /// Merges every thread's unread events into timestamp order and
 /// consumes them (a second drain returns only newer events). Safe to
 /// call concurrently with emitters and with other drains.
@@ -140,20 +131,18 @@ void setRingCapacity(size_t Events);
 /// Drains the recorder and writes Chrome tracing / Perfetto JSON
 /// ({"traceEvents":[...]}, "ph":"X" complete events for spans,
 /// "ph":"i" instants, ts/dur in microseconds relative to the first
-/// event). Always writes a valid document — a compiled-out or empty
-/// recorder yields an empty traceEvents array. Returns false only on
-/// I/O failure.
+/// event). Always writes a valid document — an empty recorder yields
+/// an empty traceEvents array. Returns false only on I/O failure.
 bool writeChromeTrace(const std::string &Path);
-
-#if defined(SEPE_TRACE)
 
 namespace detail {
 /// The runtime gate, seeded from SEPE_TRACE_ENABLED (trace.cpp).
 extern std::atomic<bool> EnabledFlag;
 uint64_t nowNs();
-void emitImpl(EventKind K, uint64_t Gen, uint64_t Arg);
-void emitSpanImpl(EventKind K, uint64_t StartNs, uint64_t DurNs,
-                  uint64_t Gen, uint64_t Arg);
+/// Cold, so a site's enabled branch leaves the function that holds it.
+[[gnu::cold]] void emitImpl(EventKind K, uint64_t Gen, uint64_t Arg);
+[[gnu::cold]] void emitSpanImpl(EventKind K, uint64_t StartNs,
+                                uint64_t DurNs, uint64_t Gen, uint64_t Arg);
 } // namespace detail
 
 inline bool enabled() {
@@ -172,9 +161,11 @@ inline void emit(EventKind K, uint64_t Gen = 0, uint64_t Arg = 0) {
 /// destruction with the elapsed time. setArg/setGen let the scope
 /// attach results discovered mid-flight (entries copied, code bytes,
 /// the epoch a resynthesis ended up publishing). Inactive — no clock
-/// reads, no emission — when tracing is disabled at construction.
+/// reads, no emission — when default-constructed or when tracing is
+/// disabled at construction.
 class Span {
 public:
+  Span() = default;
   explicit Span(EventKind K, uint64_t Gen = 0)
       : Kind(K), Gen(Gen), Active(enabled()) {
     if (Active)
@@ -192,60 +183,32 @@ public:
   void setGen(uint64_t G) { Gen = G; }
 
 private:
-  EventKind Kind;
-  uint64_t Gen;
+  EventKind Kind = EventKind::NumKinds;
+  uint64_t Gen = 0;
   uint64_t Arg = 0;
   uint64_t StartNs = 0;
-  bool Active;
+  bool Active = false;
 };
-
-#else // !SEPE_TRACE
-
-// Compiled-out shims: same API surface so non-macro callers (tools,
-// tests) build unchanged; every member is an empty inline the
-// optimizer deletes.
-
-inline bool enabled() { return false; }
-inline void setEnabled(bool) {}
-inline void emit(EventKind, uint64_t = 0, uint64_t = 0) {}
-
-class Span {
-public:
-  Span() = default;
-  explicit Span(EventKind, uint64_t = 0) {}
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-  void setArg(uint64_t) {}
-  void setGen(uint64_t) {}
-};
-
-#endif // SEPE_TRACE
 
 } // namespace sepe::trace
 
 // --- Instrumentation-site macros -------------------------------------------
 //
-// KIND is a bare EventKind enumerator name. In compiled-out builds the
-// macros drop GEN/ARG unexpanded — the expressions are never evaluated,
-// so sites must not rely on their side effects.
-
-#if defined(SEPE_TRACE)
-
-#define SEPE_TRACE_INSTANT(KIND, GEN, ARG)                                   \
-  ::sepe::trace::emit(::sepe::trace::EventKind::KIND, (GEN), (ARG))
-
-#define SEPE_TRACE_SPAN(VAR, KIND, GEN)                                      \
-  ::sepe::trace::Span VAR(::sepe::trace::EventKind::KIND, (GEN))
-
-#else // !SEPE_TRACE
+// KIND is a bare EventKind enumerator name. GEN and ARG are evaluated
+// only when tracing is enabled, so sites must not rely on their side
+// effects.
 
 #define SEPE_TRACE_INSTANT(KIND, GEN, ARG)                                   \
   do {                                                                       \
+    if (::sepe::trace::enabled())                                            \
+      ::sepe::trace::detail::emitImpl(::sepe::trace::EventKind::KIND, (GEN), \
+                                      (ARG));                                \
   } while (0)
 
 #define SEPE_TRACE_SPAN(VAR, KIND, GEN)                                      \
-  [[maybe_unused]] ::sepe::trace::Span VAR
-
-#endif // SEPE_TRACE
+  ::sepe::trace::Span VAR =                                                  \
+      ::sepe::trace::enabled()                                               \
+          ? ::sepe::trace::Span(::sepe::trace::EventKind::KIND, (GEN))       \
+          : ::sepe::trace::Span()
 
 #endif // SEPE_SUPPORT_TRACE_H

@@ -120,8 +120,7 @@ void printUsage() {
       "                    workloads (default BENCH_quality.json; only\n"
       "                    written when a quality workload ran)\n"
       "  --trace=FILE.json write the flight recorder as Chrome-trace\n"
-      "                    JSON after the suite (needs -DSEPE_TRACE=ON\n"
-      "                    for non-empty data)\n"
+      "                    JSON after the suite\n"
       "  --list            print workload names and exit\n"
       "comparator mode:\n"
       "  --compare=BASE.json,NEW.json   diff two reports; exit 1 on\n"
@@ -1068,7 +1067,7 @@ struct WorkloadResult {
   perf::CounterReading Pmu;
   /// Telemetry registry snapshot of the instrumented pass alone (the
   /// registry is reset before it, so sections don't accumulate across
-  /// workloads). The compiled-out shim JSON when -DSEPE_TELEMETRY=OFF.
+  /// workloads).
   std::string Telemetry = telemetry::toJson();
 };
 
@@ -1111,24 +1110,22 @@ runSuiteTrials(const std::vector<SuiteWorkload> &Suite,
       Results[I].Trials.push_back(Suite[I].Run());
   for (WorkloadResult &Result : Results) {
     reduce(Result);
-    if (Counters.live() || telemetry::compiledIn()) {
-      // One extra instrumented pass; its wall time is not a trial, so
-      // the PMU read and telemetry recording cannot perturb the
-      // reported medians. The registry is reset before the pass so
-      // each workload's telemetry section covers that pass alone
-      // instead of accumulating across the suite.
-      const bool TelemetryWasOn = telemetry::enabled();
-      telemetry::resetAll();
-      telemetry::setEnabled(true);
-      if (Counters.live()) {
-        perf::ScopedCounters Scope(Counters, Result.Pmu);
-        (void)Result.Work->Run();
-      } else {
-        (void)Result.Work->Run();
-      }
-      Result.Telemetry = telemetry::toJson();
-      telemetry::setEnabled(TelemetryWasOn);
+    // One extra instrumented pass; its wall time is not a trial, so
+    // the PMU read and telemetry recording cannot perturb the reported
+    // medians. The registry is reset before the pass so each
+    // workload's telemetry section covers that pass alone instead of
+    // accumulating across the suite.
+    const bool TelemetryWasOn = telemetry::enabled();
+    telemetry::resetAll();
+    telemetry::setEnabled(true);
+    if (Counters.live()) {
+      perf::ScopedCounters Scope(Counters, Result.Pmu);
+      (void)Result.Work->Run();
+    } else {
+      (void)Result.Work->Run();
     }
+    Result.Telemetry = telemetry::toJson();
+    telemetry::setEnabled(TelemetryWasOn);
   }
   return Results;
 }
@@ -1270,12 +1267,7 @@ int main(int Argc, char **Argv) {
     return 2;
   if (!Options.CompareBase.empty())
     return runCompare(Options);
-  if (!Options.TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --trace requested but this binary was built "
-                   "without -DSEPE_TRACE=ON; the trace will be empty\n");
+  if (!Options.TracePath.empty())
     trace::setEnabled(true);
-  }
   return runSuite(Options);
 }

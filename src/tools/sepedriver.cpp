@@ -71,15 +71,12 @@ void printUsage(const char *Argv0) {
       "                        of single-byte-mutated --key keys\n"
       "  --metrics=FILE.json   dump the run's observability data as\n"
       "                        JSON: the telemetry registry (counters,\n"
-      "                        histograms, spans; needs a\n"
-      "                        -DSEPE_TELEMETRY=ON build for non-empty\n"
-      "                        data), PMU counters for the experiment\n"
-      "                        loop when perf_event_open works here,\n"
-      "                        and getrusage resource totals\n"
+      "                        histograms, spans), PMU counters for the\n"
+      "                        experiment loop when perf_event_open\n"
+      "                        works here, and getrusage resource totals\n"
       "  --trace=FILE.json     write the flight recorder as Chrome-trace\n"
       "                        JSON (load in chrome://tracing or\n"
-      "                        Perfetto; needs a -DSEPE_TRACE=ON build\n"
-      "                        for non-empty data)\n"
+      "                        Perfetto)\n"
       "  --mphf[=N]            build a minimal perfect hash over N\n"
       "                        distinct --key keys (default 100000),\n"
       "                        verify the bijection structurally, and\n"
@@ -621,20 +618,10 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!MetricsPath.empty()) {
-    if (!telemetry::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --metrics requested but this binary was built "
-                   "without -DSEPE_TELEMETRY=ON; the dump will be empty\n");
+  if (!MetricsPath.empty())
     telemetry::setEnabled(true);
-  }
-  if (!TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr,
-                   "warning: --trace requested but this binary was built "
-                   "without -DSEPE_TRACE=ON; the trace will be empty\n");
+  if (!TracePath.empty())
     trace::setEnabled(true);
-  }
 
   if (Explain)
     return runExplain(Key, Isa, ExplainAs);

@@ -95,7 +95,7 @@ void printUsage() {
       "  --json=FILE     write run statistics as JSON\n"
       "  --trace=FILE    drain the flight recorder into Chrome-trace\n"
       "                  JSON at exit (load in chrome://tracing or\n"
-      "                  Perfetto; needs -DSEPE_TRACE=ON for events)\n"
+      "                  Perfetto)\n"
       "  --metrics-port=N     serve live Prometheus metrics on\n"
       "                       127.0.0.1:N while running; also mounts\n"
       "                       /plan (active hash plan, generation-\n"
@@ -193,21 +193,10 @@ int main(int Argc, char **Argv) {
     return 2;
 
   // --- Observability arms --------------------------------------------------
-  if (!Options.TracePath.empty()) {
-    if (!trace::compiledIn())
-      std::fprintf(stderr, "warning: --trace without -DSEPE_TRACE=ON — "
-                           "the trace will be empty\n");
+  if (!Options.TracePath.empty())
     trace::setEnabled(true);
-  }
-  const bool WantMetrics =
-      Options.MetricsPort != 0 || Options.MetricsIntervalSec > 0.0;
-  if (WantMetrics) {
-    if (!telemetry::compiledIn())
-      std::fprintf(stderr,
-                   "warning: metrics export without -DSEPE_TELEMETRY=ON — "
-                   "only flight-recorder gauges will be exposed\n");
+  if (Options.MetricsPort != 0 || Options.MetricsIntervalSec > 0.0)
     telemetry::setEnabled(true);
-  }
 
   // --- Key pools -----------------------------------------------------------
   const FormatSpec Format = paperKeyFormat(Options.Key);
@@ -257,10 +246,12 @@ int main(int Argc, char **Argv) {
   const bool FastAtStart = Table.hasFastLane();
 
   // --- Live metrics exporters ----------------------------------------------
-  // The extra block rides every exposition: the fast lane's per-shard
-  // lock totals as plain gauges, parsed back out of contentionJson so
-  // there is exactly one source of truth for those counters.
-  metrics::ExtraFn ContentionProm = [&Table] {
+  // The extra block rides every exposition: the live quality gauges
+  // (quality/live_stats.h, present once a monitor has published), then
+  // the fast lane's per-shard lock totals as plain gauges, parsed back
+  // out of contentionJson so there is exactly one source of truth for
+  // those counters.
+  metrics::ExtraFn ExtraProm = [&Table] {
     uint64_t SharedAcq = 0, SharedCon = 0, UniqueAcq = 0, UniqueCon = 0;
     if (Expected<json::Value> Doc = json::parse(Table.fastLaneContentionJson()))
       if (const json::Value *T = Doc->find("totals")) {
@@ -269,7 +260,7 @@ int main(int Argc, char **Argv) {
         UniqueAcq = static_cast<uint64_t>(T->numberOr("unique_acquires", 0));
         UniqueCon = static_cast<uint64_t>(T->numberOr("unique_contended", 0));
       }
-    std::string Out;
+    std::string Out = quality::liveStatsPrometheus();
     Out += "# TYPE sepe_serving_shard_shared_acquires counter\n";
     Out += "sepe_serving_shard_shared_acquires " +
            std::to_string(SharedAcq) + "\n";
@@ -304,7 +295,7 @@ int main(int Argc, char **Argv) {
   });
   if (Options.MetricsPort != 0) {
     if (Server.start(static_cast<uint16_t>(Options.MetricsPort),
-                     ContentionProm))
+                     ExtraProm))
       std::printf("sepeserve: metrics on http://127.0.0.1:%u/metrics\n",
                   Server.port());
     else
@@ -314,7 +305,7 @@ int main(int Argc, char **Argv) {
   metrics::SnapshotWriter Snapshots;
   if (Options.MetricsIntervalSec > 0.0)
     Snapshots.start(Options.MetricsFile, Options.MetricsIntervalSec,
-                    ContentionProm);
+                    ExtraProm);
 
   // --- Clients -------------------------------------------------------------
   std::atomic<bool> Stop{false};
@@ -519,18 +510,16 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(SharedCon),
                 static_cast<unsigned long long>(UniqueAcq),
                 static_cast<unsigned long long>(UniqueCon));
-    if (telemetry::compiledIn()) {
-      // Cross-shard distribution (one histogram sample per shard): a
-      // hot shard shows up as p99 far above p50.
-      const telemetry::Histogram &Shared =
-          telemetry::histogram("sharded_index_map.shard.shared_acquires");
-      const telemetry::Histogram &Unique =
-          telemetry::histogram("sharded_index_map.shard.unique_acquires");
-      std::printf("  shard spread   reads p50 %.0f / p99 %.0f, "
-                  "writes p50 %.0f / p99 %.0f (per-shard acquires)\n",
-                  Shared.percentile(0.50), Shared.percentile(0.99),
-                  Unique.percentile(0.50), Unique.percentile(0.99));
-    }
+    // Cross-shard distribution (one histogram sample per shard): a hot
+    // shard shows up as p99 far above p50.
+    const telemetry::Histogram &Shared =
+        telemetry::histogram("sharded_index_map.shard.shared_acquires");
+    const telemetry::Histogram &Unique =
+        telemetry::histogram("sharded_index_map.shard.unique_acquires");
+    std::printf("  shard spread   reads p50 %.0f / p99 %.0f, "
+                "writes p50 %.0f / p99 %.0f (per-shard acquires)\n",
+                Shared.percentile(0.50), Shared.percentile(0.99),
+                Unique.percentile(0.50), Unique.percentile(0.99));
   }
   Server.stop();
   Snapshots.stop();

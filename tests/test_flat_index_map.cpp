@@ -255,9 +255,10 @@ TEST(FlatIndexMapTest, RehashKeepsPreHashedEntriesReachable) {
   for (size_t I = 0; I != Images.size(); ++I) {
     ASSERT_TRUE(Map.insertHashed(Images[I], I));
     // Every entry inserted so far stays reachable across each growth.
-    if ((I & 1023) == 1023)
+    if ((I & 1023) == 1023) {
       for (size_t J = 0; J <= I; J += 97)
         ASSERT_NE(Map.findHashed(Images[J]), nullptr) << I << "/" << J;
+    }
   }
   EXPECT_GT(Map.capacity(), Initial) << "test must exercise growth";
 
@@ -458,8 +459,9 @@ TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
     const uint32_t *Mine = Map.find(Key);
     const auto Theirs = Mirror.find(Key);
     ASSERT_EQ(Mine != nullptr, Theirs != Mirror.end()) << Key;
-    if (Mine != nullptr)
+    if (Mine != nullptr) {
       ASSERT_EQ(*Mine, Theirs->second) << Key;
+    }
   };
 
   for (size_t Step = 0; Step != 4000; ++Step) {
@@ -516,7 +518,8 @@ TEST(FlatIndexMapTest, PropertyInterleavedOpsMatchUnorderedMap) {
   for (size_t I = 0; I != Keys.size(); ++I) {
     const auto Theirs = Mirror.find(Keys[I]);
     ASSERT_EQ(Out[I] != nullptr, Theirs != Mirror.end()) << Keys[I];
-    if (Out[I] != nullptr)
+    if (Out[I] != nullptr) {
       ASSERT_EQ(*Out[I], Theirs->second);
+    }
   }
 }

@@ -153,8 +153,9 @@ TEST(JitDispatchTest, AutoTakesJitOnlyWhenHostAndShapeAllow) {
       }
       // Hardware-pext plans are exactly the shapes the JIT exists for:
       // under Auto on a capable host they must land on compiled code.
-      if (Kind == HashKind::Pext && jitAvailable() && jitSupportsPlan(Plan))
+      if (Kind == HashKind::Pext && jitAvailable() && jitSupportsPlan(Plan)) {
         EXPECT_EQ(Resolved, "jit") << Label;
+      }
 
       // Below the Native ceiling the JIT never engages, even forced.
       for (IsaLevel Isa : {IsaLevel::NoBitExtract, IsaLevel::Portable}) {

@@ -7,8 +7,8 @@
 // Exercises the Prometheus renderer and the two exporters end-to-end:
 // the HTTP listener is scraped over a real loopback socket, and the
 // snapshot writer is checked against the file it periodically rewrites.
-// Both run in either telemetry build flavor — the exposition degrades
-// to the flight-recorder gauges plus the compiled-out comment.
+// With recording off, the exposition still carries the flight-recorder
+// gauges.
 //
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +60,8 @@ std::string httpGet(uint16_t Port, const std::string &Path = "/metrics") {
 
 TEST(MetricsRenderTest, CarriesTelemetryAndTraceGauges) {
   const std::string Text = metrics::renderPrometheus();
-  // The flight-recorder gauges are present in every build flavor.
+  // The flight-recorder gauges are present whether or not anything
+  // is recording.
   EXPECT_NE(Text.find("sepe_trace_emitted"), std::string::npos);
   EXPECT_NE(Text.find("sepe_trace_dropped"), std::string::npos);
   EXPECT_NE(Text.find("sepe_trace_occupancy"), std::string::npos);

@@ -10,6 +10,7 @@
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
 #include "support/telemetry.h"
+#include "support/trace.h"
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <thread>
@@ -211,6 +213,70 @@ TEST(ServingTableTest, DriftSwapMigrateSweepKeepsEveryKeyVisible) {
 
   // maintain() with nothing to do reports no work.
   EXPECT_FALSE(Table.maintain());
+}
+
+namespace {
+
+/// One pass over every ServingTable entry point: batch puts of
+/// in-format and drifted keys, batch and single-key gets (the drifted
+/// gets trip the drift window), a pumped re-synthesis and maintain()
+/// (migration and spill sweep), a static seal, and erases.
+void runServingCycle(uint64_t Seed) {
+  const KeyPattern Pattern = patternOf(SsnRegex);
+  ServingTable<uint64_t> Table(Pattern, servingOptions(),
+                               /*ShardCountHint=*/8);
+  const std::vector<std::string> InFormat =
+      distinctKeys(SsnRegex, 512, Seed);
+  const std::vector<std::string> Drifted = driftedCopies(InFormat, Pattern);
+  std::vector<std::string_view> Views(InFormat.begin(), InFormat.end());
+  Views.insert(Views.end(), Drifted.begin(), Drifted.end());
+  std::vector<uint64_t> Values(Views.size());
+  std::iota(Values.begin(), Values.end(), uint64_t{0});
+  ASSERT_EQ(Table.putBatch(Views.data(), Values.data(), Views.size()),
+            Views.size());
+
+  std::vector<uint64_t> Out(Views.size());
+  std::vector<uint8_t> Found(Views.size());
+  EXPECT_EQ(Table.getBatch(Views.data(), Out.data(), Found.data(),
+                           Views.size()),
+            Views.size());
+  uint64_t V = 0;
+  for (std::string_view Key : Views)
+    EXPECT_TRUE(Table.get(Key, V)) << Key;
+  (void)Table.adaptive().pumpResynthesis();
+  (void)Table.maintain();
+  EXPECT_EQ(Table.sealStatic(Views), Views.size());
+  EXPECT_EQ(Table.getBatch(Views.data(), Out.data(), Found.data(),
+                           Views.size()),
+            Views.size());
+  EXPECT_TRUE(Table.erase(Views.front()));
+  EXPECT_TRUE(Table.erase(Views.back()));
+  (void)Table.maintain();
+}
+
+} // namespace
+
+TEST(ServingTableObservabilityTest, DisabledPlanesRegisterAndEmitNothing) {
+  // Both runtime gates off: a full cycle leaves the metric registry
+  // and the flight recorder exactly as they were.
+  ASSERT_FALSE(telemetry::enabled());
+  ASSERT_FALSE(trace::enabled());
+  const std::string RegistryBefore = telemetry::toJson();
+  const uint64_t EmittedBefore = trace::emitted();
+  runServingCycle(5);
+  EXPECT_EQ(telemetry::toJson(), RegistryBefore);
+  EXPECT_EQ(trace::emitted(), EmittedBefore);
+
+  // The same cycle with both gates on does record, so the check above
+  // can see a site that runs.
+  telemetry::setEnabled(true);
+  trace::setEnabled(true);
+  runServingCycle(5);
+  telemetry::setEnabled(false);
+  trace::setEnabled(false);
+  EXPECT_NE(telemetry::toJson(), RegistryBefore);
+  EXPECT_GT(trace::emitted(), EmittedBefore);
+  (void)trace::drain();
 }
 
 TEST(ServingTableTest, HotSwapUnderConcurrentTrafficLosesNoLookups) {
@@ -446,9 +512,7 @@ void checkSealedBatchAgreesWithGet(const std::vector<std::string> &Extra) {
       telemetry::counter("serving_table.static.hit");
   const uint64_t HitsBefore = StaticHits.value();
   expectBatchMatchesGet(Table, Probes);
-  if (telemetry::compiledIn()) {
-    EXPECT_EQ(StaticHits.value() - HitsBefore, 2 * SealList.size());
-  }
+  EXPECT_EQ(StaticHits.value() - HitsBefore, 2 * SealList.size());
   telemetry::setEnabled(WasEnabled);
   EXPECT_TRUE(Table.staticLaneActive());
 }
@@ -514,9 +578,7 @@ TEST(ServingTableStaticTest, SealFailsWhenAKeyDoesNotFitARecord) {
       telemetry::counter("serving_table.static.seal_failed");
   const uint64_t FailedBefore = SealFailed.value();
   EXPECT_EQ(Table.sealStatic(Views), 0u);
-  if (telemetry::compiledIn()) {
-    EXPECT_EQ(SealFailed.value(), FailedBefore + 1);
-  }
+  EXPECT_EQ(SealFailed.value(), FailedBefore + 1);
   telemetry::setEnabled(WasEnabled);
   EXPECT_FALSE(Table.staticLaneActive());
 

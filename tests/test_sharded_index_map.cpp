@@ -12,6 +12,7 @@
 #include "keygen/distributions.h"
 #include "keygen/paper_formats.h"
 #include "support/json.h"
+#include "support/telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -111,8 +112,9 @@ TEST(ShardPartitionTest, PartitionEquivalentToPerKeyShardOfAllFormats) {
             Seen[K] = true;
             ASSERT_EQ(probe::shardOf(Images[K], Bits), S)
                 << paperKeyName(Key) << " isa " << static_cast<int>(Isa);
-            if (I != Offsets[S])
+            if (I != Offsets[S]) {
               ASSERT_LT(Order[I - 1], K) << "partition must be stable";
+            }
           }
         }
       }
@@ -194,6 +196,35 @@ TEST(ShardedIndexMapTest, BatchOpsMatchScalarOps) {
             Keys.size() / 2);
   for (size_t I = 0; I != Keys.size(); ++I)
     ASSERT_EQ(Found[I] != 0, I % 2 == 1) << I;
+}
+
+TEST(ShardedIndexMapTelemetryTest, BatchHitsAndMissesCoverEveryKey) {
+  // getBatch counts once per call: hit + miss equals the keys asked
+  // for. The single-key get is a per-key path and counts nothing.
+  ShardedIndexMap<uint64_t> Map(bijectivePext(SsnRegex),
+                                patternOf(SsnRegex));
+  const std::vector<std::string> Keys = distinctKeys(SsnRegex, 300, 0x7e);
+  const std::vector<std::string_view> Views(Keys.begin(), Keys.end());
+  for (size_t I = 0; I < Keys.size(); I += 3)
+    ASSERT_TRUE(Map.put(Views[I], I));
+
+  telemetry::resetAll();
+  telemetry::setEnabled(true);
+  std::vector<uint64_t> Out(Keys.size());
+  std::vector<uint8_t> Found(Keys.size());
+  const size_t Hits =
+      Map.getBatch(Views.data(), Out.data(), Found.data(), Views.size());
+  uint64_t V = 0;
+  for (std::string_view Key : Views)
+    (void)Map.get(Key, V);
+  telemetry::setEnabled(false);
+
+  const uint64_t Hit = telemetry::counter("sharded_index_map.get.hit").value();
+  const uint64_t Miss =
+      telemetry::counter("sharded_index_map.get.miss").value();
+  EXPECT_EQ(Hit, Hits);
+  EXPECT_EQ(Hit, (Keys.size() + 2) / 3);
+  EXPECT_EQ(Hit + Miss, Views.size());
 }
 
 TEST(ShardedIndexMapTest, EntriesSpreadAcrossShards) {

@@ -4,11 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs in both build flavors: with -DSEPE_TRACE=ON the ring-buffer
-// semantics are checked (drop-oldest wrap, cross-thread drain ordering,
-// span durations, the Chrome-trace export shape); without it the same
-// binary checks that the shims are inert and that writeChromeTrace
-// still emits a valid empty document.
+// The runtime gate and the ring-buffer semantics: drop-oldest wrap,
+// cross-thread drain ordering, span durations, and the Chrome-trace
+// export shape.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,15 +45,22 @@ std::string tempPath(const char *Name) {
 }
 
 TEST(TraceCoreTest, DisabledByDefault) {
-  // Both flavors: emission must be opt-in (setEnabled or the
-  // SEPE_TRACE_ENABLED env var, which the test harness never sets).
+  // Emission must be opt-in (setEnabled or the SEPE_TRACE_ENABLED env
+  // var, which the test harness never sets).
   EXPECT_FALSE(trace::enabled());
 }
 
 TEST(TraceCoreTest, DisabledEmitIsANoOp) {
-  // Whether the plane is compiled out or merely runtime-disabled, an
-  // emit must not record anything.
+  // A runtime-disabled emit records nothing, and a disabled macro site
+  // does not evaluate its arguments.
   ASSERT_FALSE(trace::enabled());
+  int Evaluated = 0;
+  const auto Count = [&Evaluated] { return ++Evaluated; };
+  SEPE_TRACE_INSTANT(DriftReset, Count(), Count());
+  {
+    SEPE_TRACE_SPAN(Unarmed, ShardCopy, Count());
+  }
+  EXPECT_EQ(Evaluated, 0);
   const uint64_t Before = trace::emitted();
   SEPE_TRACE_INSTANT(SwapPublish, 7, 0);
   trace::emit(trace::EventKind::DriftTripped, 1, 2);
@@ -66,17 +71,6 @@ TEST(TraceCoreTest, DisabledEmitIsANoOp) {
   }
   EXPECT_EQ(trace::emitted(), Before);
   EXPECT_EQ(trace::occupancy(), 0u);
-  EXPECT_TRUE(trace::drain().empty());
-}
-
-TEST(TraceCoreTest, CompiledOutShimsAreInert) {
-  if (trace::compiledIn())
-    GTEST_SKIP() << "trace compiled in; shim test not applicable";
-  trace::setEnabled(true); // Must not stick in the OFF build.
-  EXPECT_FALSE(trace::enabled());
-  SEPE_TRACE_INSTANT(DriftTripped, 1, 2);
-  EXPECT_EQ(trace::emitted(), 0u);
-  EXPECT_EQ(trace::dropped(), 0u);
   EXPECT_TRUE(trace::drain().empty());
 }
 
@@ -92,8 +86,6 @@ TEST(TraceCoreTest, EventKindNamesAreTotal) {
 }
 
 TEST(TraceRingTest, EmitDrainRoundTrip) {
-  if (!trace::compiledIn())
-    GTEST_SKIP() << "built without -DSEPE_TRACE=ON";
   TraceScope Scope;
   trace::emit(trace::EventKind::DriftTripped, 4, 250000);
   trace::emit(trace::EventKind::SwapPublish, 5, 0);
@@ -113,8 +105,6 @@ TEST(TraceRingTest, EmitDrainRoundTrip) {
 }
 
 TEST(TraceRingTest, SpanCarriesDuration) {
-  if (!trace::compiledIn())
-    GTEST_SKIP() << "built without -DSEPE_TRACE=ON";
   TraceScope Scope;
   {
     trace::Span S(trace::EventKind::JitCompile, 9);
@@ -129,8 +119,6 @@ TEST(TraceRingTest, SpanCarriesDuration) {
 }
 
 TEST(TraceRingTest, WrapDropsOldestAndCountsDrops) {
-  if (!trace::compiledIn())
-    GTEST_SKIP() << "built without -DSEPE_TRACE=ON";
   // A fresh thread gets a fresh ring, so the shrunken capacity applies
   // regardless of what the main thread's ring already is.
   trace::setRingCapacity(8);
@@ -155,8 +143,6 @@ TEST(TraceRingTest, WrapDropsOldestAndCountsDrops) {
 }
 
 TEST(TraceRingTest, MultiThreadDrainIsTimeOrdered) {
-  if (!trace::compiledIn())
-    GTEST_SKIP() << "built without -DSEPE_TRACE=ON";
   TraceScope Scope;
   constexpr size_t NumThreads = 4;
   constexpr uint64_t PerThread = 64;
@@ -175,9 +161,10 @@ TEST(TraceRingTest, MultiThreadDrainIsTimeOrdered) {
   ASSERT_EQ(Events.size(), NumThreads * PerThread);
   std::vector<uint64_t> PerTidCount(NumThreads + 2, 0);
   for (size_t I = 0; I != Events.size(); ++I) {
-    if (I != 0)
+    if (I != 0) {
       EXPECT_LE(Events[I - 1].TimeNs, Events[I].TimeNs)
           << "drain must merge rings into time order";
+    }
     ASSERT_LT(Events[I].Gen, NumThreads);
   }
   // Per-thread suborder survives the merge: each emitter's args must
@@ -185,16 +172,17 @@ TEST(TraceRingTest, MultiThreadDrainIsTimeOrdered) {
   for (size_t T = 0; T != NumThreads; ++T) {
     uint64_t Expect = 0;
     for (const trace::Event &E : Events)
-      if (E.Gen == T)
+      if (E.Gen == T) {
         EXPECT_EQ(E.Arg, Expect++);
+      }
     EXPECT_EQ(Expect, PerThread);
   }
 }
 
 TEST(TraceChromeTest, GoldenShape) {
   const std::string Path = tempPath("sepe_trace_golden.json");
-  uint64_t SpanCount = 0, InstantCount = 0;
-  if (trace::compiledIn()) {
+  const uint64_t SpanCount = 1, InstantCount = 2;
+  {
     TraceScope Scope;
     trace::emit(trace::EventKind::DriftTripped, 3, 250000);
     {
@@ -202,11 +190,6 @@ TEST(TraceChromeTest, GoldenShape) {
       S.setArg(17);
     }
     trace::emit(trace::EventKind::SwapPublish, 4, 0);
-    SpanCount = 1;
-    InstantCount = 2;
-    ASSERT_TRUE(trace::writeChromeTrace(Path));
-  } else {
-    // The compiled-out document must still be a valid empty trace.
     ASSERT_TRUE(trace::writeChromeTrace(Path));
   }
 
@@ -246,8 +229,6 @@ TEST(TraceChromeTest, GoldenShape) {
 }
 
 TEST(TraceChromeTest, ArgsCarryGeneration) {
-  if (!trace::compiledIn())
-    GTEST_SKIP() << "built without -DSEPE_TRACE=ON";
   const std::string Path = tempPath("sepe_trace_args.json");
   {
     TraceScope Scope;
